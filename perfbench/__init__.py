@@ -1,0 +1,6 @@
+"""Repository benchmark: four workloads, end-to-end metrics, traced layers.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; ``perfbench/README.md`` says
+why each workload exists and which layers it loads.
+"""
