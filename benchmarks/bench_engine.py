@@ -13,9 +13,12 @@ Measures, for one operand width:
   asserting all four paths return identical results;
 * **end-to-end evolution** — ``evolve()`` wall time and evaluations/s
   under both evaluators with the same RNG seed, asserting the
-  ``(wmed, area)`` trajectories are identical (the engine must change
-  throughput, never results) and recording the phenotype-cache hit
-  rate of the run;
+  ``(wmed, area)`` trajectories and final errors are identical (the
+  engine must change throughput, never results) and recording the
+  phenotype-cache hit rate of the run; once under the uniform law and
+  once under the paper's D2 (the non-uniform weights of Case Study 1,
+  width 6 under ``--smoke``, 8 in full runs), with repeated engine runs
+  so the evals/s spread is visible;
 * **sampled wide-operand evolution** — a width-16 multiplier evolved
   under the Monte-Carlo objective (``--eval sampled`` on the CLI): the
   exhaustive space would need 2**32 vectors, so this measures the
@@ -61,7 +64,10 @@ from repro.engine import (  # noqa: E402
     CompiledMultiplierFitness,
     native_available,
 )
-from repro.errors.distributions import uniform  # noqa: E402
+from repro.errors.distributions import (  # noqa: E402
+    distribution_from_spec,
+    uniform,
+)
 
 DEFAULT_OUT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_engine.json"
@@ -189,43 +195,65 @@ def bench_brood(width: int, lam: int, reps: int, rounds: int) -> dict:
     }
 
 
-def bench_evolve(width: int, generations: int, seed: int = 7) -> dict:
+#: Engine runs per evolve section, so the evals/s spread is visible.
+EVOLVE_REPEATS = 3
+
+
+def bench_evolve(
+    width: int, generations: int, seed: int = 7, dist=None
+) -> dict:
+    """Interpreted vs engine ``evolve()`` under one operand law.
+
+    ``dist`` defaults to the uniform law.  The interpreted baseline runs
+    once; the engine runs :data:`EVOLVE_REPEATS` times, each on a fresh
+    evaluator (cold cache), and every repeat must reproduce the
+    baseline's trajectory, final chromosome and final error exactly.
+    Evals/s is reported per repeat and as their median.
+    """
     net = build_array_multiplier(width)
     params = params_for_netlist(net, extra_columns=8)
     seed_chrom = netlist_to_chromosome(net, params)
-    dist = uniform(width, signed=False)
+    if dist is None:
+        dist = uniform(width, signed=False)
     cfg = EvolutionConfig(generations=generations, history_every=1)
     threshold = 0.01
 
-    runs = {}
-    for name, evaluator in (
-        ("baseline", MultiplierFitness(width, dist)),
-        ("engine", CompiledMultiplierFitness(width, dist)),
-    ):
+    def run(evaluator):
         t0 = time.perf_counter()
         result = evolve(
             seed_chrom, evaluator, threshold, config=cfg,
             rng=np.random.default_rng(seed),
         )
-        elapsed = time.perf_counter() - t0
-        runs[name] = (result, elapsed, evaluator)
+        return result, time.perf_counter() - t0
 
-    base_res, base_s, _ = runs["baseline"]
-    eng_res, eng_s, eng_eval = runs["engine"]
-    identical = (
-        base_res.history == eng_res.history
-        and base_res.best_eval == eng_res.best_eval
-        and np.array_equal(base_res.best.genes, eng_res.best.genes)
+    base_res, base_s = run(MultiplierFitness(width, dist))
+    engine_runs = []
+    for _ in range(EVOLVE_REPEATS):
+        evaluator = CompiledMultiplierFitness(width, dist)
+        engine_runs.append((*run(evaluator), evaluator))
+    identical = all(
+        base_res.history == res.history
+        and base_res.best_eval == res.best_eval
+        and np.array_equal(base_res.best.genes, res.best.genes)
+        for res, _, _ in engine_runs
     )
+    errors_identical = all(
+        res.best_eval.error == base_res.best_eval.error
+        for res, _, _ in engine_runs
+    )
+    eng_res, _, eng_eval = engine_runs[0]
+    eng_s = statistics.median(s for _, s, _ in engine_runs)
     cache = eng_eval.stats()["cache"]
     lookups = cache["hits"] + cache["misses"]
     # Thin the archived trajectory to <= 50 points.
     step = max(1, len(eng_res.history) // 50)
     return {
         "width": width,
+        "dist": dist.name,
         "generations": generations,
         "seed": seed,
         "threshold": threshold,
+        "repeats": EVOLVE_REPEATS,
         "cache_hits": cache["hits"],
         "cache_hit_rate": round(cache["hits"] / lookups, 4) if lookups else 0.0,
         "baseline_s": round(base_s, 3),
@@ -234,7 +262,11 @@ def bench_evolve(width: int, generations: int, seed: int = 7) -> dict:
         "evaluations": eng_res.evaluations,
         "baseline_evals_per_s": round(base_res.evaluations / base_s, 1),
         "engine_evals_per_s": round(eng_res.evaluations / eng_s, 1),
+        "engine_evals_per_s_runs": [
+            round(res.evaluations / s, 1) for res, s, _ in engine_runs
+        ],
         "trajectories_identical": identical,
+        "final_errors_identical": errors_identical,
         "final_wmed": eng_res.best_eval.wmed,
         "final_area": eng_res.best_eval.area,
         "engine_stats": eng_eval.stats(),
@@ -365,13 +397,24 @@ def main(argv=None) -> int:
         f" | identical: {brood['bit_identical']}"
     )
     evo = bench_evolve(args.width, args.generations)
-    print(
-        f"evolve {evo['generations']} gens: baseline {evo['baseline_s']} s"
-        f" | engine {evo['engine_s']} s ({evo['speedup']}x)"
-        f" | {evo['engine_evals_per_s']} evals/s"
-        f" | cache hit rate {evo['cache_hit_rate']}"
-        f" | trajectories identical: {evo['trajectories_identical']}"
+    evo_d2 = bench_evolve(
+        args.width, args.generations,
+        dist=distribution_from_spec("d2", args.width, False),
     )
+    for section in (evo, evo_d2):
+        print(
+            f"evolve {section['dist']} w={section['width']}"
+            f" {section['generations']} gens:"
+            f" baseline {section['baseline_s']} s"
+            f" | engine {section['engine_s']} s ({section['speedup']}x)"
+            f" | {section['engine_evals_per_s']} evals/s"
+            f" (runs {section['engine_evals_per_s_runs']})"
+            f" | cache hit rate {section['cache_hit_rate']}"
+            f" | trajectories identical:"
+            f" {section['trajectories_identical']}"
+            f" | final errors identical:"
+            f" {section['final_errors_identical']}"
+        )
 
     sampled = bench_sampled_evolve(
         16, args.sampled_generations,
@@ -400,6 +443,7 @@ def main(argv=None) -> int:
         "single_eval": single,
         "brood_batch": brood,
         "evolve": evo,
+        "evolve_d2": evo_d2,
         "sampled_evolve": sampled,
     }
     out = os.path.abspath(args.out)
@@ -410,7 +454,11 @@ def main(argv=None) -> int:
     if (
         not single["bit_identical"]
         or not brood["bit_identical"]
-        or not evo["trajectories_identical"]
+        or not all(
+            section["trajectories_identical"]
+            and section["final_errors_identical"]
+            for section in (evo, evo_d2)
+        )
     ):
         print("FAIL: engine results diverge from the reference evaluator")
         return 1

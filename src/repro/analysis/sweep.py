@@ -46,7 +46,7 @@ from ..circuits.simulator import truth_table
 from ..core.chromosome import Chromosome
 from ..core.components import get_component
 from ..core.evolution import EvolutionConfig, EvolutionResult, evolve
-from ..core.objective import CircuitObjective, SampleSpec
+from ..core.objective import CircuitObjective, SampleSpec, objective_weights
 from ..core.seeding import netlist_to_chromosome, params_for_netlist
 from ..errors.distributions import Distribution
 from ..errors.metrics import get_metric, mean_error_distance
@@ -182,8 +182,17 @@ def characterize_design(
     reference = comp.reference(width, signed)
     normalizer = float(np.abs(reference).max()) or 1.0
     ni = netlist.num_inputs
-    weights = operand_weights(act, ni)
-    summary = characterize(netlist, library, weights=weights / weights.sum())
+
+    def weights(d: Distribution):
+        # The component objective's own integer weights for ``d``, so
+        # wmed_by_dist[d] equals a WMED search's error under ``d`` bit
+        # for bit, and activity sums over the same W.
+        return objective_weights(
+            reference, operand_weights(d, ni), signed,
+            comp.num_outputs(width), comp.name,
+        )
+
+    summary = characterize(netlist, library, weights=weights(act))
     return DesignPoint(
         name=name or netlist.name,
         source=source,
@@ -192,9 +201,7 @@ def characterize_design(
         table=table,
         summary=summary,
         wmed_by_dist={
-            d.name: mean_error_distance(
-                reference, table, operand_weights(d, ni)
-            )
+            d.name: mean_error_distance(reference, table, weights(d))
             / normalizer
             for d in dists
         },

@@ -533,6 +533,7 @@ def _unsigned_objective(
         metric=metric,
         library=library,
         component=name,
+        num_outputs=comp.num_outputs(width),
     )
 
 
@@ -620,6 +621,7 @@ def mac_objective(
         metric=metric,
         library=library,
         component="mac",
+        num_outputs=comp.num_outputs(width),
     )
 
 
@@ -723,4 +725,5 @@ def netlist_objective(
         metric=metric,
         library=library,
         component=netlist.name or "netlist",
+        num_outputs=netlist.num_outputs,
     )

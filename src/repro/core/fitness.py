@@ -45,7 +45,7 @@ class MultiplierFitness(CircuitObjective):
     .CircuitObjective`: reference = exact product table, weights = the
     WMED weights of ``dist``, normalizer = maximum product magnitude.
     Precomputes all three once; each candidate costs one packed
-    simulation plus two vector reductions.
+    simulation plus one exact integer reduction.
 
     Args:
         width: Operand bit width ``w``.
@@ -73,6 +73,7 @@ class MultiplierFitness(CircuitObjective):
             metric=metric,
             library=library,
             component="multiplier",
+            num_outputs=2 * width,
         )
         self.width = width
         self.dist = dist

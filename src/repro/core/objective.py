@@ -11,13 +11,16 @@ where the error metric compares the candidate's exhaustive truth table
 against a *reference* table under a per-vector *weight* vector.  This
 module is the single home of that machinery:
 
-* :class:`CircuitObjective` — reference table + normalized weight vector
+* :class:`CircuitObjective` — reference table + integer weight vector
   + pluggable :class:`~repro.errors.metrics.ErrorMetric` (WMED, MED,
   MRED, error rate, worst case) + technology-library area term.  It owns
   the decode/area/evaluate hot path that every evaluator in the repo —
   including the compiled engine's
   :class:`~repro.engine.evaluator.CompiledObjective` — inherits, so
-  there is exactly one implementation of each.
+  there is exactly one implementation of each.  The weights are
+  quantized once, at construction, to int64 counts (see
+  :mod:`repro.errors.weights`), and every metric but ``mred`` is an
+  exact integer reduction (:meth:`CircuitObjective.error_from_distances`).
 * :class:`EvalResult` — the outcome record shared by all evaluators.
 
 Component-specific constructors (multiplier, adder, MAC, arbitrary
@@ -41,12 +44,14 @@ from ..errors.metrics import (
     estimate_from_distances,
     get_metric,
 )
+from ..errors.weights import IntegerWeights, distance_bound, output_bits
 from ..tech.library import TechLibrary, default_library
 from .chromosome import Chromosome
 
 __all__ = [
     "EvalResult",
     "CircuitObjective",
+    "objective_weights",
     "SampleSpec",
     "SampledEvalResult",
     "SampledStimulus",
@@ -80,10 +85,36 @@ class EvalResult:
         return np.isfinite(self.fitness)
 
 
+def objective_weights(
+    reference: np.ndarray,
+    weights: Optional[np.ndarray],
+    signed: bool,
+    num_outputs: Optional[int] = None,
+    component: str = "",
+) -> IntegerWeights:
+    """An objective's integer weights, as :class:`CircuitObjective` makes them.
+
+    The weight total is set by the largest error distance a
+    ``num_outputs``-bit candidate can reach against ``reference``
+    (``num_outputs`` defaults to the narrowest bus holding the
+    reference).  Characterization paths that weigh a design without
+    building an objective call this to sum over the very same ``W``.
+    """
+    reference = np.asarray(reference, dtype=np.int64).ravel()
+    if num_outputs is None:
+        num_outputs = output_bits(reference, signed)
+    return IntegerWeights.quantize(
+        weights,
+        reference.size,
+        distance_bound(reference, num_outputs, signed),
+        owner=f"{component or 'objective'} with {num_outputs}-bit outputs",
+    )
+
+
 class CircuitObjective:
     """Eq. (1) objective against an arbitrary reference function.
 
-    Precomputes the exhaustive stimulus and normalizes the weight vector
+    Precomputes the exhaustive stimulus and quantizes the weight vector
     once; each candidate costs one packed simulation, one vectorized
     truth-table decode and one metric reduction.
 
@@ -91,8 +122,10 @@ class CircuitObjective:
         num_inputs: Primary input count of the candidates; the reference
             table must enumerate all ``2**num_inputs`` vectors.
         reference: Exact outputs in vector order (``int64``).
-        weights: Per-vector importance; normalized internally to sum
-            to 1.  ``None`` means uniform.
+        weights: Per-vector importance, any positive scale.  ``None``
+            means uniform.  Quantized to :attr:`integer_weights` (int64
+            counts with a power-of-two total); :attr:`weights` keeps
+            their exact float image ``W / ΣW``.
         signed: Decode candidate output buses as two's complement.
         normalizer: Error scale so magnitude metrics land in [0, ~1];
             defaults to ``max |reference|`` (falling back to 1 for the
@@ -103,6 +136,15 @@ class CircuitObjective:
         library: Technology library for the area term.
         component: Optional tag naming the component family (used in
             reports and engine cache identity).
+        num_outputs: Candidate output width in bits; bounds the error
+            distances, which sets the weight total ``ΣW`` (the largest
+            power of two with ``max|d| · ΣW < 2**63``).  Defaults to the
+            narrowest bus that holds the reference.
+
+    Raises:
+        ValueError: When that bound leaves fewer than ``2**30`` units of
+            weight resolution and the weights do not quantize exactly
+            (the message names the component and the output width).
     """
 
     def __init__(
@@ -115,6 +157,7 @@ class CircuitObjective:
         metric: object = "wmed",
         library: Optional[TechLibrary] = None,
         component: str = "",
+        num_outputs: Optional[int] = None,
     ) -> None:
         reference = np.asarray(reference, dtype=np.int64).ravel()
         expected = 1 << num_inputs
@@ -128,17 +171,13 @@ class CircuitObjective:
         self.signed = signed
         self.component = component
         self.stimulus = exhaustive_inputs(num_inputs)
-        if weights is None:
-            weights = np.full(expected, 1.0 / expected)
-        else:
-            weights = np.asarray(weights, dtype=np.float64).ravel()
-            if weights.shape != (expected,):
-                raise ValueError("weights length must match the vector count")
-            total = weights.sum()
-            if total <= 0:
-                raise ValueError("weights must have positive mass")
-            weights = weights / total
-        self.weights = weights
+        #: The weights as int64 counts ``W`` (power-of-two ``ΣW``): what
+        #: every exact reduction sums over.
+        self.integer_weights = objective_weights(
+            reference, weights, signed, num_outputs, component
+        )
+        #: ``W / ΣW`` per vector, exact (float form, e.g. for ``mred``).
+        self.weights = self.integer_weights.probabilities()
         if normalizer is None:
             normalizer = float(np.abs(reference).max()) or 1.0
         if normalizer <= 0:
@@ -174,18 +213,31 @@ class CircuitObjective:
         return values
 
     def error_distances(self, chromosome: Chromosome) -> np.ndarray:
-        """Per-vector ``|reference - candidate|`` as ``float64``."""
-        table = self.truth_table(chromosome)
-        return np.abs(self.reference - table).astype(np.float64)
+        """Per-vector ``|reference - candidate|`` as ``int64``."""
+        return np.abs(self.reference - self.truth_table(chromosome))
+
+    def error_from_distances(self, distances: np.ndarray) -> float:
+        """The objective's metric over a per-vector distance row.
+
+        The one exhaustive reduction: every metric but ``mred`` goes
+        through :meth:`ErrorMetric.from_stats` over the row's five
+        integers and :attr:`integer_weights` — the same call the native
+        decode's in-C statistics feed — and ``mred`` through the float
+        form over :attr:`weights`.
+        """
+        metric = self.metric
+        if metric.integer:
+            weights = self.integer_weights
+            return metric.from_stats(
+                weights.stats(distances), weights, self.normalizer
+            )
+        return metric.from_distances(
+            distances, self.weights, self.normalizer, self.reference
+        )
 
     def error(self, chromosome: Chromosome) -> float:
         """The objective's error-metric value for a candidate."""
-        return self.metric.from_distances(
-            self.error_distances(chromosome),
-            self.weights,
-            self.normalizer,
-            self.reference,
-        )
+        return self.error_from_distances(self.error_distances(chromosome))
 
     def wmed(self, chromosome: Chromosome) -> float:
         """Historical alias for :meth:`error` (the paper's metric name)."""
@@ -427,6 +479,11 @@ class SampledObjective(CircuitObjective):
         h.update((getattr(dist, "spec", "") or dist.name).encode())
         h.update(self.stimulus.tobytes())
         self._sample_salt = h.digest()
+
+    def error_from_distances(self, distances: np.ndarray) -> float:
+        """The pooled point estimate (sampled objectives have no
+        integer weights: the sampling itself embodies the weighting)."""
+        return self.estimate_distances(distances).value
 
     def estimate_distances(self, distances: np.ndarray) -> MetricEstimate:
         """Metric estimate + 95 % CI from a per-sample distance row."""

@@ -2,8 +2,9 @@
 
 Candidate evaluation is called millions of times per CGP run; the arena
 owns every buffer the hot path needs — the packed signal matrix, the
-compiled-program slabs, the decode scratch and the error vector — so a
-single evaluation performs no heap allocation beyond tiny Python objects.
+compiled-program slabs, the decode scratch and the int64 distance row —
+so a single evaluation performs no heap allocation beyond tiny Python
+objects.
 
 Layout of the signal matrix ``buf`` (``slots x words`` of ``uint64``):
 
@@ -15,8 +16,8 @@ Layout of the signal matrix ``buf`` (``slots x words`` of ``uint64``):
 
 Batched evaluation adds *per-candidate* buffers on demand
 (:meth:`BufferArena.ensure_batch`): every candidate of a brood gets a
-private scratch lane, program-slab row, transpose-scratch row and error
-row, all contiguous 2-D arrays so one native call
+private scratch lane, program-slab row, transpose-scratch row, distance
+row and statistics row, all contiguous 2-D arrays so one native call
 (``cgp_eval_batch``) can walk them by stride.  The packed stimulus stays
 shared — slot ``s < num_inputs`` resolves into ``buf``, slot
 ``s >= num_inputs`` into row ``s - num_inputs`` of the candidate's lane.
@@ -38,7 +39,11 @@ from typing import List, Optional
 
 import numpy as np
 
-__all__ = ["BufferArena"]
+__all__ = ["BufferArena", "STATS_WIDTH"]
+
+#: Integers per candidate of the reduced decode: Σ|d|, #{d != 0},
+#: max|d|, Σ W·|d|, Σ W·[d != 0] (the native decode's stats row).
+STATS_WIDTH = 5
 
 
 class BufferArena:
@@ -92,7 +97,9 @@ class BufferArena:
         self.decode_scratch = np.empty(4 * max(ngroups, 1), dtype=np.uint64)
         self.planes = np.empty((num_outputs, self.words), dtype=np.uint64)
         self.values = np.empty(self.num_vectors, dtype=np.int32)
-        self.err = np.empty(self.num_vectors, dtype=np.float64)
+        #: Per-vector |reference - output| (metrics with no integer
+        #: form and sampled estimates read it; the rest never write it).
+        self.err = np.empty(self.num_vectors, dtype=np.int64)
 
         # Batch lanes, allocated lazily by ensure_batch().
         self.batch_capacity = 0
@@ -152,11 +159,11 @@ class BufferArena:
             (n_cand, 4 * max(ngroups, 1)), dtype=np.uint64
         )
         self.batch_err = np.empty(
-            (n_cand, self.num_vectors), dtype=np.float64
+            (n_cand, self.num_vectors), dtype=np.int64
         )
-        # Per-candidate (sum |d|, count != 0, max |d|) for the native
-        # exact-reduction path; rows stay untouched on the err path.
-        self.batch_stats = np.zeros((n_cand, 3), dtype=np.int64)
+        # Per-candidate decode statistics for the native exact-reduction
+        # path; rows stay untouched on the err path.
+        self.batch_stats = np.zeros((n_cand, STATS_WIDTH), dtype=np.int64)
         # Slot-indexed row views per candidate for the numpy backend:
         # rows[s] is stimulus row s for s < ni, lane row s - ni above.
         self._batch_rows = [

@@ -12,15 +12,21 @@ through the evaluation engine:
    (:mod:`repro.engine.cache`) — CGP neutral drift makes hits frequent,
 3. on a miss, the program runs over the preallocated buffer arena on the
    native C backend (:mod:`repro.engine.native`) or the numpy fallback
-   (:mod:`repro.engine.kernels`), followed by the fused decode/error
-   reduction and the objective's metric.
+   (:mod:`repro.engine.kernels`), followed by the fused decode and the
+   objective's metric.
 
-Results are bit-identical to the interpreted objective: all simulation
-and decode arithmetic is integer-exact, both paths produce the same
-``float64`` per-vector distance vector, and the metric reduction is the
-same code (:meth:`ErrorMetric.from_distances`) over the same operand
-order.  The cache key folds in the objective's identity (reference,
-weights, metric, signedness), so caches never alias across objectives.
+Results are bit-identical to the interpreted objective because every
+step is integer-exact and the float step is one shared formula.  For
+every exhaustive metric but ``mred``, the native decode folds the
+distances into five integers in C — ``Σ|d|``, ``#{d != 0}``,
+``max|d|``, ``Σ W·|d|``, ``Σ W·[d != 0]`` over the objective's integer
+weights ``W`` — and never writes a distance row; the numpy backend and
+the interpreted objective take the same integers from an int64 distance
+row; all three finish in :meth:`ErrorMetric.from_stats`.  ``mred`` and
+sampled estimates reduce the int64 row through the float form
+(:meth:`ErrorMetric.from_distances`), the same code on every path.  The
+cache key folds in the objective's identity (reference, weights,
+metric, signedness), so caches never alias across objectives.
 Evaluators are not thread-safe (each owns one arena); use one instance
 per worker.
 
@@ -31,7 +37,6 @@ per worker.
 from __future__ import annotations
 
 import hashlib
-import math
 from time import perf_counter_ns
 from typing import Dict, List, Optional, Sequence
 
@@ -49,7 +54,7 @@ from ..core.objective import (
 from ..errors.distributions import Distribution
 from ..tech.library import TechLibrary
 from . import kernels
-from .arena import BufferArena
+from .arena import STATS_WIDTH, BufferArena
 from .cache import EvalCache
 from .compiler import compile_genes_into, phenotype_signature
 from .native import NativeLib, native_lib, omp_threads
@@ -74,6 +79,8 @@ class _Runtime:
         native: Optional[NativeLib],
         salt_extra: bytes = b"",
         exact32: Optional[np.ndarray] = None,
+        weight_row: Optional[np.ndarray] = None,
+        weight_mask: int = 0,
     ) -> None:
         self.params = params
         fn2op = function_opcode_table(params.functions)  # may raise KeyError
@@ -110,6 +117,11 @@ class _Runtime:
             + salt_extra
         )
         self.exact32 = exact32
+        #: Integer weights for the reduced decode: W[v] =
+        #: weight_row[v & weight_mask], or weight_row[0] when the mask
+        #: is 0 (uniform).
+        self.weight_row = weight_row
+        self.weight_mask = weight_mask
         # Raw buffer addresses, computed once: every arena/table array
         # is allocated for the runtime's lifetime, and the ndarray
         # ``.ctypes`` accessor costs ~µs — comparable to a small kernel
@@ -121,9 +133,12 @@ class _Runtime:
         self._lane_stats_args: List[tuple] = []
         if native is not None:
             a = self.arena
-            # Single-path exact-reduction target (sum, count, max).
-            self.stats3 = np.zeros(3, dtype=np.int64)
-            self.p_stats3 = self.stats3.ctypes.data
+            # Single-path exact-reduction target (the five statistics).
+            self.stats = np.zeros(STATS_WIDTH, dtype=np.int64)
+            self.p_stats = self.stats.ctypes.data
+            self.p_weight_row = (
+                weight_row.ctypes.data if weight_row is not None else 0
+            )
             self.p_buf = a.buf.ctypes.data
             self.p_ops = a.ops.ctypes.data
             self.p_src_a = a.src_a.ctypes.data
@@ -186,20 +201,21 @@ class _Runtime:
             return a.err
         return kernels.decode_error(a, a.num_outputs, signed, exact32)
 
-    def reduce_stats(self, signed: bool) -> tuple:
+    def reduce_stats(self, signed: bool) -> list:
         """Decode + exact integer reduction of the single-path outputs.
 
-        Native only.  Returns ``(sum |d|, count != 0, max |d|)`` over the
-        per-vector distances — the same integers :meth:`error` would
-        materialize as float64 — without writing the error row.
+        Native only.  Returns ``[Σ|d|, #{d != 0}, max|d|, Σ W·|d|,
+        Σ W·[d != 0]]`` — exactly what
+        :meth:`~repro.errors.weights.IntegerWeights.stats` computes from
+        the row :meth:`error` would materialize — without writing it.
         """
         a = self.arena
         self.native.decode_reduce(
             self.p_buf, a.words, self.p_out_slots, a.num_outputs,
             a.num_vectors, signed, self.p_decode_scratch, self.p_exact,
-            self.p_stats3,
+            self.p_weight_row, self.weight_mask, self.p_stats,
         )
-        return self.stats3.tolist()
+        return self.stats.tolist()
 
     def values(self, signed: bool) -> np.ndarray:
         a = self.arena
@@ -273,7 +289,8 @@ class _Runtime:
                         a.batch_out_slots.shape[1], a.num_vectors,
                     ),
                     (
-                        self.p_b_scratch, 0, self.p_exact, self.p_err,
+                        self.p_b_scratch, 0, self.p_exact,
+                        self.p_weight_row, self.weight_mask, self.p_err,
                         a.num_vectors, self.p_b_stats, 1,
                     ),
                 )
@@ -329,10 +346,11 @@ class _Runtime:
 
         One native call (candidate loop in C, optionally OpenMP) or the
         equivalent numpy loop; either way ``arena.batch_err[k]`` receives
-        lane ``k``'s per-vector distances, bit-identical to the
+        lane ``k``'s per-vector int64 distances, bit-identical to the
         single-candidate path.  With ``stats`` (native only) lane ``k``'s
-        distances reduce into ``arena.batch_stats[k]`` instead and the
-        error rows stay untouched.
+        distances reduce into the five statistics of
+        ``arena.batch_stats[k]`` instead and the distance rows stay
+        untouched.
 
         On the serial native path the lane and transpose-scratch strides
         are 0: each candidate finishes (execute + decode) before the
@@ -356,6 +374,8 @@ class _Runtime:
                 0 if serial else a.batch_scratch.shape[1],
                 self.p_exact, self.p_b_err, a.num_vectors, nthreads,
                 stats=self.p_b_stats if stats else 0,
+                weight_row=self.p_weight_row,
+                weight_mask=self.weight_mask,
             )
         else:
             for k in range(n_lanes):
@@ -389,15 +409,14 @@ class _Runtime:
         )
         return a.err
 
-    def execute_lane_stats(self, lane: int, signed: bool) -> tuple:
+    def execute_lane_stats(self, lane: int, signed: bool) -> list:
         """Run + exact integer reduction of one slab lane (native only).
 
         The stats-mode twin of :meth:`execute_lane`: the same chunked
-        serial dispatch, but the decoded distances fold into
-        ``(sum |d|, count != 0, max |d|)`` in C (``arena.batch_stats``
-        row 0, reused across chunks) and the ~``num_vectors`` float64
-        error row is never written — the dominant share of a width-8
-        evaluation's memory traffic.
+        serial dispatch, but the decoded distances fold into the five
+        statistics in C (``arena.batch_stats`` row 0, reused across
+        chunks) and the ~``num_vectors`` distance row is never written —
+        the dominant share of a width-8 evaluation's memory traffic.
         """
         head, tail = self._lane_stats_args[lane]
         self.native._lib.cgp_eval_batch(*head, int(signed), *tail)
@@ -445,58 +464,49 @@ class _EngineEvalMixin:
         h.update(b"s" if self.signed else b"u")
         h.update(repr(self.normalizer).encode())
         h.update(self.reference.tobytes())
-        h.update(self.weights.tobytes())
         # Sampled objectives additionally fold the sample-spec identity
         # (counts, replicates, seed, realized stimulus) so a sampled
         # estimate never aliases an exhaustive value — or a different
         # sample's estimate — for the same phenotype.
         sample_salt = getattr(self, "_sample_salt", b"")
+        sampled = bool(sample_salt)
+        weights = None if sampled else self.integer_weights
+        if weights is None:
+            h.update(self.weights.tobytes())
+        else:
+            # One period of counts and the total determine every weight
+            # (and are far fewer bytes than the per-vector float image).
+            h.update(weights.row.tobytes())
+            h.update(repr((weights.total, weights.num_vectors)).encode())
         h.update(sample_salt)
         self._objective_salt = h.digest()
-        # Exact-reduction fast path: some metrics are *provably* equal —
-        # bit for bit, not approximately — to a formula over the integer
-        # triple (sum |d|, count != 0, max |d|), in which case the
-        # native backend can skip materializing the float64 distance row
-        # entirely (see _reduce_error).  Eligibility:
-        #
-        # * wmed / error-rate need every weight equal to one power of
-        #   two w0 with unit total mass (the uniform distribution).
-        #   Then every product w0*x and every partial sum in
-        #   np.dot(w, err) is an exactly-representable scaled integer,
-        #   making the dot order-independent and equal to w0 * sum.
-        # * med only needs the integer sum to be exact: err.mean() is
-        #   fl(T / N) and Python's T / N rounds identically.
-        # * worst-case is always eligible (a single int-to-float cast).
-        # * mred divides per-vector — no integer form; never eligible.
-        #
-        # Exactness of the int64 sum needs sum |d| < 2**53: distances
-        # are below 2**31 (int32 decode guard), so cap num_vectors at
-        # 2**20.  Every exhaustive objective in the paper is far below.
-        w = self.weights
-        w0 = float(w[0]) if w.size else 0.0
-        uniform_pow2 = (
-            w.size > 0
-            and w0 > 0.0
-            and math.frexp(w0)[0] == 0.5
-            and bool(np.all(w == w0))
+        # Exact-reduction fast path: every metric with an integer form
+        # (all but mred) is ErrorMetric.from_stats over the decode's five
+        # integers, which the native decode accumulates in C — against
+        # the objective's integer weights — without writing a distance
+        # row.  Integer sums are exact in any order, so this is the same
+        # value, bit for bit, that the numpy backend and the interpreted
+        # objective compute from their rows.  The only limit is the
+        # weights' int64 bound, which from_stats checks against max |d|
+        # on every path.  Sampled objectives
+        # always materialize the row: the confidence interval comes from
+        # per-replicate (or per-sample) reductions of it.
+        self._reduce_kind: Optional[str] = (
+            self.metric.name if self.metric.integer and not sampled else None
         )
-        exact_sum = self.num_vectors <= (1 << 20)
-        name = self.metric.name
-        if name in ("wmed", "error-rate") and uniform_pow2 and exact_sum:
-            self._reduce_kind: Optional[str] = name
-        elif name == "med" and exact_sum:
-            self._reduce_kind = name
-        elif name == "worst-case":
-            self._reduce_kind = name
-        else:
-            self._reduce_kind = None
-        if sample_salt:
-            # Sampled objectives always materialize the distance row:
-            # the confidence interval comes from per-replicate (or
-            # per-sample) reductions of it, which the integer triple
-            # cannot reconstruct.
-            self._reduce_kind = None
-        self._w0 = w0
+        # The C decode reads W[v] = row[v & mask] eight vectors at a
+        # time, so a non-uniform period shorter than 8 is tiled up to 8;
+        # mask 0 tells it the weights are uniform (row[0] throughout).
+        # The period divides num_vectors = 2**num_inputs, so it is a
+        # power of two and v & mask == v % period.
+        self._weight_row = None
+        self._weight_mask = 0
+        if weights is not None:
+            row = weights.row
+            if 1 < row.size < 8:
+                row = np.tile(row, 8 // row.size)
+            self._weight_row = row
+            self._weight_mask = row.size - 1 if row.size > 1 else 0
         self.cache = EvalCache(cache_entries)
         #: Within-batch phenotype dedup count (same sig, same brood).
         self._batch_dedup = 0
@@ -525,6 +535,8 @@ class _EngineEvalMixin:
                     self._native,
                     salt_extra=self._objective_salt,
                     exact32=self._exact32,
+                    weight_row=self._weight_row,
+                    weight_mask=self._weight_mask,
                 )
             except (KeyError, ValueError):
                 # A gate function without an engine opcode, or a shape
@@ -541,23 +553,16 @@ class _EngineEvalMixin:
                 f"expects {self.num_inputs}"
             )
 
-    def _reduce_error(self, s: int, nz: int, mx: int) -> float:
-        """Metric value from the exact integer triple (native fast path).
+    def _reduce_error(self, stats: list) -> float:
+        """Metric value from the native decode's five integers.
 
-        Bit-equal to ``metric.from_distances`` over the materialized
-        distance row under the eligibility conditions checked in
-        :meth:`_init_engine`: each formula reproduces the reference
-        reduction's exact value and final rounding (see the comment
-        there for the proofs).
+        :meth:`ErrorMetric.from_stats` — the reduction the numpy backend
+        and the interpreted objective reach through
+        :meth:`CircuitObjective.error_from_distances`.
         """
-        kind = self._reduce_kind
-        if kind == "wmed":
-            return s * self._w0 / self.normalizer
-        if kind == "med":
-            return s / self.num_vectors / self.normalizer
-        if kind == "error-rate":
-            return nz * self._w0
-        return float(mx) / self.normalizer  # worst-case
+        return self.metric.from_stats(
+            stats, self.integer_weights, self.normalizer
+        )
 
     # ------------------------------------------------------------------
     # Measure-tuple hooks: the measure is whatever per-phenotype record
@@ -565,12 +570,7 @@ class _EngineEvalMixin:
     # here; the sampled subclass appends the confidence interval.
     def _finish_measure(self, err: np.ndarray, area: float) -> tuple:
         """Measure tuple from a materialized per-vector distance row."""
-        return (
-            self.metric.from_distances(
-                err, self.weights, self.normalizer, self.reference
-            ),
-            area,
-        )
+        return (self.error_from_distances(err), area)
 
     def _measure_interpreted(self, chromosome: Chromosome) -> tuple:
         """Measure via the inherited numpy path (no runtime available)."""
@@ -602,10 +602,7 @@ class _EngineEvalMixin:
         rt.execute(n_ops)
         area = float(rt.area_by_op[rt.arena.ops[:n_ops]].sum())
         if rt.native is not None and self._reduce_kind is not None:
-            measure = (
-                self._reduce_error(*rt.reduce_stats(self.signed)),
-                area,
-            )
+            measure = (self._reduce_error(rt.reduce_stats(self.signed)), area)
         else:
             measure = self._finish_measure(
                 rt.error(self.signed, self._exact32), area
@@ -658,8 +655,8 @@ class _EngineEvalMixin:
 
         Results are bit-identical to calling :meth:`evaluate`
         sequentially — same compiled programs, same integer kernels,
-        same float64 reduction operand order — batching only changes
-        dispatch overhead and memory locality.
+        same reduction — batching only changes dispatch overhead and
+        memory locality.
 
         Mixed-params batches and non-engine runtimes fall back to the
         sequential path.
@@ -734,7 +731,7 @@ class _EngineEvalMixin:
                     reduce_error = self._reduce_error
                     for i, lane, sig, n_ops in pending:
                         measure = (
-                            reduce_error(*execute_lane_stats(lane, signed)),
+                            reduce_error(execute_lane_stats(lane, signed)),
                             lane_area(lane, n_ops),
                         )
                         if caching:
@@ -758,7 +755,7 @@ class _EngineEvalMixin:
                 for i, lane, sig, n_ops in pending:
                     if fast:
                         measure = (
-                            reduce_error(*batch_stats[lane].tolist()),
+                            reduce_error(batch_stats[lane].tolist()),
                             lane_area(lane, n_ops),
                         )
                     else:
@@ -843,8 +840,8 @@ class CompiledSampledObjective(_EngineEvalMixin, SampledObjective):
     95 % confidence interval.  The phenotype-cache entries store the
     four-tuple ``(error, area, ci_low, ci_high)``, salted with the
     sample-spec identity, so sampled and exhaustive evaluations of the
-    same phenotype never alias.  Exact-integer fast reduction is always
-    disabled here: the CI needs the materialized distance row.
+    same phenotype never alias.  The exact-integer decode statistics are
+    never used here: the CI needs the materialized distance row.
 
     Widths whose reference magnitudes exceed the engine's int32 decode
     range (e.g. multipliers past width 15) transparently serve through

@@ -9,8 +9,12 @@ produce bit-identical results.  Speed comes from three things:
 * decode unpacks *all* output planes with one stacked ``unpackbits`` and
   combines them with per-byte-group ``einsum`` (a bit transpose), instead
   of one unpack + shift + or round-trip per plane;
-* the WMED reduction subtracts the precomputed exact table directly into
-  a preallocated ``float64`` buffer and finishes with one BLAS dot.
+* the distance row subtracts the precomputed exact table directly into
+  a preallocated ``int64`` buffer; metrics then reduce it with integer
+  sums (an int64 dot against the integer weights, which numpy runs in
+  its own loop, never BLAS — see
+  :meth:`repro.errors.weights.IntegerWeights.stats`), the same integers
+  the native decode accumulates in C.
 """
 
 from __future__ import annotations
@@ -119,10 +123,10 @@ def decode_values(
 def decode_error(
     arena: BufferArena, n_bits: int, signed: bool, exact: np.ndarray
 ) -> np.ndarray:
-    """Fused decode + ``|exact - value|`` into the float64 error buffer."""
+    """Fused decode + ``|exact - value|`` into the int64 distance row."""
     values = decode_values(arena, n_bits, signed)
     err = arena.err
-    np.subtract(exact, values, out=err)
+    np.subtract(exact, values, out=err, dtype=np.int64)
     np.absolute(err, out=err)
     return err
 
@@ -153,6 +157,6 @@ def decode_error_batch(
         values = _decode_planes(
             planes, arena.num_vectors, n_bits, signed, arena.values
         )
-    np.subtract(exact, values, out=err)
+    np.subtract(exact, values, out=err, dtype=np.int64)
     np.absolute(err, out=err)
     return err

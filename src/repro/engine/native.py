@@ -10,8 +10,9 @@ and drives it through ``ctypes`` over the same
 
 Everything stays optional: if no compiler is available (or compilation
 fails, or ``REPRO_ENGINE=numpy`` is set) callers fall back to the
-bit-identical numpy backend.  All arithmetic in C is integer, so results
-match numpy exactly regardless of optimization flags.
+bit-identical numpy backend.  All arithmetic in C is integer — the
+decode's distances and its weighted sums alike — so results match numpy
+exactly regardless of optimization flags.
 
 The shared object is cached under ``$REPRO_ENGINE_CACHE`` (default
 ``~/.cache/repro-engine``) keyed by a digest of the source and compile
@@ -36,7 +37,7 @@ import numpy as np
 __all__ = ["NativeLib", "native_lib", "native_available", "omp_threads"]
 
 #: Bump when C_SOURCE changes incompatibly (part of the .so cache key).
-_ABI_VERSION = 4
+_ABI_VERSION = 5
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -57,6 +58,9 @@ C_SOURCE = r"""
    reorders independent per-word integer ops, so results are identical
    for any tile size. */
 #define ENGINE_TILE_WORDS 128
+
+/* Integers per candidate in the reduced decode's stats row. */
+#define ENGINE_STATS 5
 
 /* Opcodes: must match repro.engine.opcodes.OP_NAMES. */
 
@@ -297,17 +301,17 @@ void cgp_decode(const uint64_t* arena, int32_t W, const int32_t* out_slots,
     }
 }
 
-/* Fused decode + |exact - value| (the WMED error vector).  The
-   n_bits <= 16 case — every paper width — is a single lane-wise loop
+/* Fused decode + |exact - value| (the per-vector distance row, int64).
+   The n_bits <= 16 case — every paper width — is a single lane-wise loop
    (byte interleave, sign-extend shifts, subtract, absolute value,
-   int->double): hand-vectorized 8 vectors per iteration under AVX2,
-   with a scalar tail (and non-AVX2 fallback) built from the identical
-   integer expressions, so every path produces the same doubles. */
+   widen): hand-vectorized 8 vectors per iteration under AVX2, with a
+   scalar tail (and non-AVX2 fallback) built from the identical integer
+   expressions, so every path produces the same integers. */
 static void err_loop_16(const uint8_t* restrict a0,
                         const uint8_t* restrict a1, int32_t two_acc,
                         int32_t do_sign, int32_t ext,
                         const int32_t* restrict exact,
-                        double* restrict err, int64_t n)
+                        int64_t* restrict err, int64_t n)
 {
     int64_t v = 0;
 #ifdef __AVX2__
@@ -324,10 +328,10 @@ static void err_loop_16(const uint8_t* restrict a0,
                 _mm256_slli_epi32(x, ext), ext);
         __m256i d = _mm256_abs_epi32(_mm256_sub_epi32(
             _mm256_loadu_si256((const __m256i*)(exact + v)), x));
-        _mm256_storeu_pd(err + v,
-            _mm256_cvtepi32_pd(_mm256_castsi256_si128(d)));
-        _mm256_storeu_pd(err + v + 4,
-            _mm256_cvtepi32_pd(_mm256_extracti128_si256(d, 1)));
+        _mm256_storeu_si256((__m256i*)(err + v),
+            _mm256_cvtepu32_epi64(_mm256_castsi256_si128(d)));
+        _mm256_storeu_si256((__m256i*)(err + v + 4),
+            _mm256_cvtepu32_epi64(_mm256_extracti128_si256(d, 1)));
     }
 #endif
     for (; v < n; ++v) {
@@ -335,29 +339,63 @@ static void err_loop_16(const uint8_t* restrict a0,
         if (two_acc) val |= (int32_t)a1[v] << 8;
         if (do_sign) val = (int32_t)((uint32_t)val << ext) >> ext;
         int32_t d = exact[v] - val;
-        err[v] = (double)(d < 0 ? -d : d);
+        err[v] = d < 0 ? -(int64_t)d : (int64_t)d;
     }
 }
 
+#ifdef __AVX2__
+/* 64-bit lanes w * d mod 2^64 for d < 2^32: AVX2 has no 64x64 multiply,
+   so w * d = lo32(w) * d + (hi32(w) * d << 32).  Exact whenever the true
+   product fits, which the weight total's bound guarantees. */
+static inline __m256i mul_u64_u32(__m256i w, __m256i d)
+{
+    __m256i lo = _mm256_mul_epu32(w, d);
+    __m256i hi = _mm256_mul_epu32(_mm256_srli_epi64(w, 32), d);
+    return _mm256_add_epi64(lo, _mm256_slli_epi64(hi, 32));
+}
+#endif
+
+/* Store the five statistics; with wmask == 0 the weights are uniform
+   (one count wrow[0]), so the weighted sums are that count times the
+   plain ones — the same integers without reading a weight row. */
+static void store_stats(int64_t* restrict stats, uint64_t sum, uint64_t nz,
+                        int64_t mx, uint64_t ws, uint64_t wnz,
+                        const int64_t* wrow, int64_t wmask)
+{
+    if (!wmask) {
+        uint64_t w0 = wrow ? (uint64_t)wrow[0] : 0;
+        ws = w0 * sum;
+        wnz = w0 * nz;
+    }
+    stats[0] = (int64_t)sum;
+    stats[1] = (int64_t)nz;
+    stats[2] = mx;
+    stats[3] = (int64_t)ws;
+    stats[4] = (int64_t)wnz;
+}
+
 /* Reduced decode: the same decoded values and |exact - value| integer
-   distances as err_loop_16, folded on the fly into three integer
-   statistics — sum, nonzero count, max — instead of a float64 row.
-   Integer addition is associative, so any accumulation order gives the
-   exact sum; callers only use this when the downstream float metric is
-   provably bit-equal to the one computed from the materialized row
-   (see CompiledObjective._init_engine). */
+   distances as err_loop_16, folded on the fly into five integers —
+   sum, nonzero count, max, and the weighted sum and weighted nonzero
+   count over the integer weights W[v] = wrow[v & wmask] — instead of a
+   distance row.  Integer addition is associative, so any accumulation
+   order gives the same integers; the weighted sums wrap (unsigned)
+   only past the bound the caller checks against max |d|.  wmask + 1 is
+   the weights' period (>= 8 when non-zero, so eight consecutive
+   vectors read eight consecutive weights). */
 static void reduce_loop_16(const uint8_t* restrict a0,
                            const uint8_t* restrict a1, int32_t two_acc,
                            int32_t do_sign, int32_t ext,
                            const int32_t* restrict exact, int64_t n,
+                           const int64_t* restrict wrow, int64_t wmask,
                            int64_t* restrict stats)
 {
-    int64_t sum = 0, nz = 0, mx = 0;
+    uint64_t sum = 0, nz = 0, ws = 0, wnz = 0;
+    int64_t mx = 0;
     int64_t v = 0;
 #ifdef __AVX2__
-    __m256i vsum = _mm256_setzero_si256();
-    __m256i vnz = _mm256_setzero_si256();
-    __m256i vmx = _mm256_setzero_si256();
+    const __m256i zero = _mm256_setzero_si256();
+    __m256i vsum = zero, vnz = zero, vmx = zero, vws = zero, vwnz = zero;
     for (; v + 8 <= n; v += 8) {
         __m256i x = _mm256_cvtepu8_epi32(
             _mm_loadl_epi64((const __m128i*)(a0 + v)));
@@ -371,20 +409,34 @@ static void reduce_loop_16(const uint8_t* restrict a0,
                 _mm256_slli_epi32(x, ext), ext);
         __m256i d = _mm256_abs_epi32(_mm256_sub_epi32(
             _mm256_loadu_si256((const __m256i*)(exact + v)), x));
-        vsum = _mm256_add_epi64(vsum,
-            _mm256_cvtepu32_epi64(_mm256_castsi256_si128(d)));
-        vsum = _mm256_add_epi64(vsum,
-            _mm256_cvtepu32_epi64(_mm256_extracti128_si256(d, 1)));
-        vnz = _mm256_sub_epi32(vnz,
-            _mm256_cmpgt_epi32(d, _mm256_setzero_si256()));
+        __m256i d0 = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(d));
+        __m256i d1 = _mm256_cvtepu32_epi64(_mm256_extracti128_si256(d, 1));
+        vsum = _mm256_add_epi64(vsum, _mm256_add_epi64(d0, d1));
+        __m256i ne = _mm256_cmpgt_epi32(d, zero);
+        vnz = _mm256_sub_epi32(vnz, ne);
         vmx = _mm256_max_epi32(vmx, d);
+        if (wmask) {
+            const int64_t* w = wrow + (v & wmask);
+            __m256i w0 = _mm256_loadu_si256((const __m256i*)w);
+            __m256i w1 = _mm256_loadu_si256((const __m256i*)(w + 4));
+            vws = _mm256_add_epi64(vws, mul_u64_u32(w0, d0));
+            vws = _mm256_add_epi64(vws, mul_u64_u32(w1, d1));
+            vwnz = _mm256_add_epi64(vwnz, _mm256_and_si256(w0,
+                _mm256_cvtepi32_epi64(_mm256_castsi256_si128(ne))));
+            vwnz = _mm256_add_epi64(vwnz, _mm256_and_si256(w1,
+                _mm256_cvtepi32_epi64(_mm256_extracti128_si256(ne, 1))));
+        }
     }
-    int64_t s4[4];
+    uint64_t s4[4];
     int32_t l8[8];
     _mm256_storeu_si256((__m256i*)s4, vsum);
     sum = s4[0] + s4[1] + s4[2] + s4[3];
+    _mm256_storeu_si256((__m256i*)s4, vws);
+    ws = s4[0] + s4[1] + s4[2] + s4[3];
+    _mm256_storeu_si256((__m256i*)s4, vwnz);
+    wnz = s4[0] + s4[1] + s4[2] + s4[3];
     _mm256_storeu_si256((__m256i*)l8, vnz);
-    for (int32_t j = 0; j < 8; ++j) nz += l8[j];
+    for (int32_t j = 0; j < 8; ++j) nz += (uint32_t)l8[j];
     _mm256_storeu_si256((__m256i*)l8, vmx);
     for (int32_t j = 0; j < 8; ++j) if (l8[j] > mx) mx = l8[j];
 #endif
@@ -394,19 +446,22 @@ static void reduce_loop_16(const uint8_t* restrict a0,
         if (do_sign) val = (int32_t)((uint32_t)val << ext) >> ext;
         int32_t d = exact[v] - val;
         if (d < 0) d = -d;
-        sum += d;
+        sum += (uint64_t)d;
         nz += (d != 0);
         if (d > mx) mx = d;
+        if (wmask) {
+            uint64_t w = (uint64_t)wrow[v & wmask];
+            ws += w * (uint64_t)d;
+            wnz += d ? w : 0;
+        }
     }
-    stats[0] = sum;
-    stats[1] = nz;
-    stats[2] = mx;
+    store_stats(stats, sum, nz, mx, ws, wnz, wrow, wmask);
 }
 
 static void decode_err_planes(const uint64_t* const* planes, int32_t n_bits,
                               int64_t num_vectors, int32_t do_sign,
                               uint64_t* scratch, const int32_t* exact,
-                              double* restrict err)
+                              int64_t* restrict err)
 {
     int64_t ngroups =
         transpose_planes(planes, n_bits, num_vectors, scratch);
@@ -428,19 +483,21 @@ static void decode_err_planes(const uint64_t* const* planes, int32_t n_bits,
         if (n_acc > 3) val |= (int32_t)a3[v] << 24;
         if (do_sign && val >= half) val -= half << 1;
         int64_t d = (int64_t)exact[v] - (int64_t)val;
-        err[v] = (double)(d < 0 ? -d : d);
+        err[v] = d < 0 ? -d : d;
     }
 }
 
 /* Integer-statistics twin of decode_err_planes: identical decode and
    distance expressions, but the distances are reduced on the fly into
-   stats = {sum |d|, count(d != 0), max |d|} with no float64 row ever
-   written.  Exact for any feasible circuit: |d| < 2^32 and callers
-   bound num_vectors so the running sum stays below 2^63. */
+   stats = {sum |d|, count(d != 0), max |d|, sum W|d|, sum W[d != 0]}
+   (see reduce_loop_16) with no distance row ever written.  |d| < 2^32
+   and num_vectors <= 2^30 keep the plain sums exact; the caller checks
+   max |d| against the weights' bound for the weighted ones. */
 static void decode_reduce_planes(const uint64_t* const* planes,
                                  int32_t n_bits, int64_t num_vectors,
                                  int32_t do_sign, uint64_t* scratch,
                                  const int32_t* exact,
+                                 const int64_t* wrow, int64_t wmask,
                                  int64_t* restrict stats)
 {
     int64_t ngroups =
@@ -452,12 +509,14 @@ static void decode_reduce_planes(const uint64_t* const* planes,
     const uint8_t* a3 = (const uint8_t*)(scratch + 3 * ngroups);
     if (n_bits <= 16) {
         reduce_loop_16(a0, a1, n_acc > 1, do_sign && n_bits > 0,
-                       32 - n_bits, exact, num_vectors, stats);
+                       32 - n_bits, exact, num_vectors, wrow, wmask,
+                       stats);
         return;
     }
     int32_t half = (do_sign && n_bits < 32)
                        ? (int32_t)(1U << (n_bits - 1)) : 0;
-    int64_t sum = 0, nz = 0, mx = 0;
+    uint64_t sum = 0, nz = 0, ws = 0, wnz = 0;
+    int64_t mx = 0;
     for (int64_t v = 0; v < num_vectors; ++v) {
         int32_t val = a0[v] | ((int32_t)a1[v] << 8);
         if (n_acc > 2) val |= (int32_t)a2[v] << 16;
@@ -465,19 +524,22 @@ static void decode_reduce_planes(const uint64_t* const* planes,
         if (do_sign && val >= half) val -= half << 1;
         int64_t d = (int64_t)exact[v] - (int64_t)val;
         if (d < 0) d = -d;
-        sum += d;
+        sum += (uint64_t)d;
         nz += (d != 0);
         if (d > mx) mx = d;
+        if (wmask) {
+            uint64_t w = (uint64_t)wrow[v & wmask];
+            ws += w * (uint64_t)d;
+            wnz += d ? w : 0;
+        }
     }
-    stats[0] = sum;
-    stats[1] = nz;
-    stats[2] = mx;
+    store_stats(stats, sum, nz, mx, ws, wnz, wrow, wmask);
 }
 
 void cgp_decode_err(const uint64_t* arena, int32_t W,
                     const int32_t* out_slots, int32_t n_bits,
                     int64_t num_vectors, int32_t do_sign, uint64_t* scratch,
-                    const int32_t* exact, double* restrict err)
+                    const int32_t* exact, int64_t* restrict err)
 {
     const uint64_t* planes[32];
     for (int32_t j = 0; j < n_bits; ++j)
@@ -490,20 +552,21 @@ void cgp_decode_reduce(const uint64_t* arena, int32_t W,
                        const int32_t* out_slots, int32_t n_bits,
                        int64_t num_vectors, int32_t do_sign,
                        uint64_t* scratch, const int32_t* exact,
+                       const int64_t* wrow, int64_t wmask,
                        int64_t* restrict stats)
 {
     const uint64_t* planes[32];
     for (int32_t j = 0; j < n_bits; ++j)
         planes[j] = arena + (size_t)out_slots[j] * W;
     decode_reduce_planes(planes, n_bits, num_vectors, do_sign, scratch,
-                         exact, stats);
+                         exact, wrow, wmask, stats);
 }
 
 /* One candidate of a batch: execute its program into its lane, then
    decode + error straight from the lane (or the shared inputs, for
    outputs wired directly to a primary input).  With stats non-NULL the
-   error row is never touched: the distances are folded into the
-   three-integer summary instead (see decode_reduce_planes). */
+   distance row is never touched: the distances are folded into the
+   five-integer summary instead (see decode_reduce_planes). */
 static void eval_candidate(const uint64_t* inputs, uint64_t* lane,
                            int32_t ni, int32_t W, int32_t n_ops,
                            const int32_t* ops, const int32_t* sa,
@@ -511,7 +574,8 @@ static void eval_candidate(const uint64_t* inputs, uint64_t* lane,
                            const int32_t* osl, int32_t n_bits,
                            int64_t num_vectors, int32_t do_sign,
                            uint64_t* scratch, const int32_t* exact,
-                           double* err, int64_t* stats)
+                           const int64_t* wrow, int64_t wmask,
+                           int64_t* err, int64_t* stats)
 {
     exec_program(inputs, lane, ni, W, n_ops, ops, sa, sb, dst);
     const uint64_t* planes[32];
@@ -519,7 +583,7 @@ static void eval_candidate(const uint64_t* inputs, uint64_t* lane,
         planes[j] = src_row(inputs, lane, ni, W, osl[j]);
     if (stats)
         decode_reduce_planes(planes, n_bits, num_vectors, do_sign,
-                             scratch, exact, stats);
+                             scratch, exact, wrow, wmask, stats);
     else
         decode_err_planes(planes, n_bits, num_vectors, do_sign, scratch,
                           exact, err);
@@ -538,7 +602,7 @@ static void eval_candidate(const uint64_t* inputs, uint64_t* lane,
    ops, no cross-candidate reads), so serial and parallel results match
    bit-for-bit.  Strides are in elements of the respective arrays.
    With stats non-NULL, candidate c's distances reduce into
-   stats[3c .. 3c+2] and the err rows are never written. */
+   stats[5c .. 5c+4] and the err rows are never written. */
 void cgp_eval_batch(const uint64_t* inputs, uint64_t* lanes, int32_t ni,
                     int32_t lane_stride_rows, int32_t W, int32_t n_cand,
                     const int32_t* n_ops_arr, const int32_t* ops,
@@ -548,7 +612,8 @@ void cgp_eval_batch(const uint64_t* inputs, uint64_t* lanes, int32_t ni,
                     int64_t out_stride, int64_t num_vectors,
                     int32_t do_sign, uint64_t* scratch,
                     int64_t scratch_stride, const int32_t* exact,
-                    double* err, int64_t err_stride, int64_t* stats,
+                    const int64_t* wrow, int64_t wmask,
+                    int64_t* err, int64_t err_stride, int64_t* stats,
                     int32_t nthreads)
 {
     int32_t nt = 1;
@@ -569,8 +634,8 @@ void cgp_eval_batch(const uint64_t* inputs, uint64_t* lanes, int32_t ni,
                            out_slots + c * out_stride, n_bits,
                            num_vectors, do_sign,
                            scratch + c * scratch_stride, exact,
-                           err + c * err_stride,
-                           stats ? stats + 3 * (int64_t)c : 0);
+                           wrow, wmask, err + c * err_stride,
+                           stats ? stats + ENGINE_STATS * (int64_t)c : 0);
 #endif
     } else {
         for (int32_t c = 0; c < n_cand; ++c)
@@ -582,8 +647,8 @@ void cgp_eval_batch(const uint64_t* inputs, uint64_t* lanes, int32_t ni,
                            out_slots + c * out_stride, n_bits,
                            num_vectors, do_sign,
                            scratch + c * scratch_stride, exact,
-                           err + c * err_stride,
-                           stats ? stats + 3 * (int64_t)c : 0);
+                           wrow, wmask, err + c * err_stride,
+                           stats ? stats + ENGINE_STATS * (int64_t)c : 0);
     }
 }
 
@@ -720,7 +785,7 @@ class NativeLib:
         ]
         lib.cgp_decode_reduce.restype = None
         lib.cgp_decode_reduce.argtypes = [
-            _P, _I32, _P, _I32, _I64, _I32, _P, _P, _P
+            _P, _I32, _P, _I32, _I64, _I32, _P, _P, _P, _I64, _P
         ]
         lib.cgp_eval_batch.restype = None
         lib.cgp_eval_batch.argtypes = [
@@ -728,7 +793,8 @@ class NativeLib:
             _P, _P, _P, _P, _P, _I64,            # n_ops, slabs, prog_stride
             _P, _I32, _I64,                      # out_slots, n_bits, stride
             _I64, _I32, _P, _I64,                # nvec, sign, scratch+stride
-            _P, _P, _I64, _P, _I32,              # exact, err+stride, stats, nt
+            _P, _P, _I64,                        # exact, weight row, mask
+            _P, _I64, _P, _I32,                  # err+stride, stats, nt
         ]
         lib.cgp_omp_compiled.restype = _I32
         lib.cgp_omp_compiled.argtypes = []
@@ -836,13 +902,21 @@ class NativeLib:
         signed: bool,
         scratch: np.ndarray,
         exact: np.ndarray,
+        weight_row: np.ndarray,
+        weight_mask: int,
         stats: np.ndarray,
     ) -> None:
-        """Decode + reduce into ``stats = (sum |d|, count != 0, max)``."""
+        """Decode + reduce into the five decode statistics.
+
+        ``stats`` receives ``(Σ|d|, #{d != 0}, max|d|, Σ W·|d|,
+        Σ W·[d != 0])`` with ``W[v] = weight_row[v & weight_mask]``;
+        ``weight_mask`` 0 means uniform weights ``weight_row[0]``.
+        """
         self._lib.cgp_decode_reduce(
             self._ptr(buf), words, self._ptr(out_slots), n_bits,
             num_vectors, int(signed), self._ptr(scratch),
-            self._ptr(exact), self._ptr(stats),
+            self._ptr(exact), self._ptr(weight_row), weight_mask,
+            self._ptr(stats),
         )
 
     def eval_batch(
@@ -871,6 +945,8 @@ class NativeLib:
         err_stride: int,
         nthreads: int,
         stats=0,
+        weight_row=0,
+        weight_mask: int = 0,
     ) -> None:
         """Evaluate ``n_cand`` compiled programs in one native call.
 
@@ -879,10 +955,12 @@ class NativeLib:
         1 forces the serial loop, N > 1 requests an OpenMP team of N,
         and -1 defers to the library default.  ``lane_stride_rows`` (and
         ``scratch_stride``) may be 0 only on the serial path, where all
-        candidates soundly reuse one lane.  A non-zero ``stats`` points
-        at an ``(n_cand, 3)`` int64 buffer receiving each candidate's
-        ``(sum |d|, nonzero count, max |d|)``; the err rows then stay
-        untouched (exact-reduction fast path, see the C comments).
+        candidates soundly reuse one lane.  ``err`` rows receive int64
+        distances.  A non-zero ``stats`` points at an
+        ``(n_cand, 5)`` int64 buffer receiving each
+        candidate's ``(Σ|d|, #{d != 0}, max|d|, Σ W·|d|, Σ W·[d != 0])``
+        over the weights ``weight_row``/``weight_mask`` (see
+        :meth:`decode_reduce`); the err rows then stay untouched.
         """
         effective = self._omp_default if nthreads < 0 else nthreads
         if effective > 1 and n_cand > 1:
@@ -894,8 +972,8 @@ class NativeLib:
             self._ptr(src_a), self._ptr(src_b), self._ptr(dst),
             prog_stride, self._ptr(out_slots), n_bits, out_stride,
             num_vectors, int(signed), self._ptr(scratch), scratch_stride,
-            self._ptr(exact), self._ptr(err), err_stride,
-            self._ptr(stats), nthreads,
+            self._ptr(exact), self._ptr(weight_row), weight_mask,
+            self._ptr(err), err_stride, self._ptr(stats), nthreads,
         )
 
     def omp_compiled(self) -> bool:

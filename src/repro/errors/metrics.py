@@ -18,18 +18,23 @@ the paper's threshold semantics.  Both conventions are exposed:
 
 * :func:`wmed` — ``E_{i~D, j~U}[|err|] / max|product|``   (used everywhere),
 * :func:`wmed_paper` — the literal Eq. (WMED) value.
+
+Weighted figures are exact integer sums over quantized weights (see
+:mod:`repro.errors.weights`): WMED is ``(Σ W·|d|) / ΣW / normalizer``,
+never a float dot product, so its bits do not depend on the host.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .distributions import Distribution
 from .truth_tables import max_product_magnitude, vector_weights
+from .weights import IntegerWeights, as_integer_weights
 
 __all__ = [
     "MetricEstimate",
@@ -91,24 +96,23 @@ def relative_error_distances(
 def mean_error_distance(
     exact: np.ndarray,
     approx: np.ndarray,
-    weights: Optional[np.ndarray] = None,
+    weights=None,
 ) -> float:
     """(Weighted) mean error distance in absolute output units.
 
-    With ``weights`` the result is ``sum(w * |err|) / sum(w)`` — the
-    expected error distance under the weight distribution.  Without, all
-    vectors count equally (classic MED under uniform inputs).
+    With ``weights`` the result is ``Σ W·|err| / ΣW`` over the integer
+    counts ``W`` (an :class:`~repro.errors.weights.IntegerWeights`, or
+    float weights quantized here) — the expected error distance under
+    the weight distribution, summed exactly.  Without, all vectors count
+    equally (classic MED under uniform inputs).
     """
-    dist = error_distances(exact, approx).astype(np.float64)
+    dist = error_distances(exact, approx)
     if weights is None:
-        return float(dist.mean())
-    weights = np.asarray(weights, dtype=np.float64).ravel()
-    if weights.shape != dist.shape:
-        raise ValueError("weights length must match truth tables")
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("weights must have positive mass")
-    return float(np.dot(weights, dist) / total)
+        return int(dist.sum()) / dist.size
+    top = int(dist.max())
+    w = as_integer_weights(weights, top, dist.size)
+    w.check(top)
+    return w.weighted_sum(dist) / w.total
 
 
 def normalized_med(
@@ -156,36 +160,46 @@ def wmed_paper(
     width = dist.width if width is None else width
     weights = vector_weights(dist, width)
     dist_abs = error_distances(exact, approx).astype(np.float64)
-    return float(np.dot(weights, dist_abs) / (1 << (2 * width)))
+    return float((weights * dist_abs).sum() / (1 << (2 * width)))
 
 
 def mean_relative_error(
     exact: np.ndarray,
     approx: np.ndarray,
-    weights: Optional[np.ndarray] = None,
+    weights=None,
     epsilon: float = 1.0,
 ) -> float:
-    """Mean relative error ``|err| / max(|exact|, epsilon)``."""
+    """Mean relative error ``|err| / max(|exact|, epsilon)``.
+
+    Relative errors are not integers, so the weighted mean is a
+    fixed-order float sum (``(w * rel).sum()``, no BLAS); integer
+    ``weights`` contribute their exact float image ``W / ΣW``.
+    """
     exact, approx = _check(exact, approx)
     rel = relative_error_distances(np.abs(exact - approx), exact, epsilon)
     if weights is None:
         return float(rel.mean())
+    if isinstance(weights, IntegerWeights):
+        return float((weights.probabilities() * rel).sum())
     weights = np.asarray(weights, dtype=np.float64).ravel()
-    return float(np.dot(weights, rel) / weights.sum())
+    return float((weights * rel).sum() / weights.sum())
 
 
 def error_rate(
     exact: np.ndarray,
     approx: np.ndarray,
-    weights: Optional[np.ndarray] = None,
+    weights=None,
 ) -> float:
-    """Fraction (or weighted probability) of vectors with any error."""
+    """Fraction (or weighted probability) of vectors with any error.
+
+    Weighted: ``Σ W·[err != 0] / ΣW``, an exact integer sum.
+    """
     exact, approx = _check(exact, approx)
-    wrong = (exact != approx).astype(np.float64)
+    wrong = exact != approx
     if weights is None:
-        return float(wrong.mean())
-    weights = np.asarray(weights, dtype=np.float64).ravel()
-    return float(np.dot(weights, wrong) / weights.sum())
+        return float(wrong.astype(np.float64).mean())
+    w = as_integer_weights(weights, 1, wrong.size)
+    return w.weighted_sum(wrong) / w.total
 
 
 def worst_case_error(exact: np.ndarray, approx: np.ndarray) -> int:
@@ -196,15 +210,20 @@ def worst_case_error(exact: np.ndarray, approx: np.ndarray) -> int:
 def error_bias(
     exact: np.ndarray,
     approx: np.ndarray,
-    weights: Optional[np.ndarray] = None,
+    weights=None,
 ) -> float:
-    """Signed mean error ``E[approx - exact]`` (accumulation bias)."""
+    """Signed mean error ``E[approx - exact]`` (accumulation bias).
+
+    Weighted: ``Σ W·(approx - exact) / ΣW``, an exact integer sum.
+    """
     exact, approx = _check(exact, approx)
-    signed_err = (approx - exact).astype(np.float64)
+    signed_err = approx - exact
     if weights is None:
-        return float(signed_err.mean())
-    weights = np.asarray(weights, dtype=np.float64).ravel()
-    return float(np.dot(weights, signed_err) / weights.sum())
+        return float(signed_err.astype(np.float64).mean())
+    largest = int(np.abs(signed_err).max())
+    w = as_integer_weights(weights, largest, signed_err.size)
+    w.check(largest)
+    return w.weighted_sum(signed_err) / w.total
 
 
 # ----------------------------------------------------------------------
@@ -215,11 +234,20 @@ class ErrorMetric:
     """A named reduction from per-vector error distances to one scalar.
 
     This is the pluggable error term of
-    :class:`repro.core.objective.CircuitObjective`: both the interpreted
-    path and the compiled engine produce the same per-vector ``float64``
-    distance vector ``|reference - candidate|`` and hand it to
-    :meth:`from_distances`, so a metric implemented here is automatically
-    bit-identical across evaluation paths.
+    :class:`repro.core.objective.CircuitObjective`.  It has two forms:
+
+    * :meth:`from_stats` — the exact form of every metric but ``mred``:
+      a formula over the five integers ``[Σ|d|, #{d != 0}, max|d|,
+      Σ W·|d|, Σ W·[d != 0]]`` with the objective's integer weights
+      ``W``.  The native decode accumulates them in C; the numpy backend
+      and the interpreted objective take them from the distance row
+      (:meth:`~repro.errors.weights.IntegerWeights.stats`).  Every
+      exhaustive path calls this one reduction, so its value is
+      bit-identical across paths and hosts.
+    * :meth:`from_distances` — the float form over a materialized
+      distance row and float weights: ``mred`` (relative errors are not
+      integers) and the sampled estimator.  Its sums are fixed-order
+      numpy sums, never BLAS.
 
     Attributes
     ----------
@@ -243,6 +271,15 @@ class ErrorMetric:
     name: str
     #: (distances, weights, normalizer, reference) -> float
     _fn: Callable[[np.ndarray, np.ndarray, float, np.ndarray], float]
+    #: (stats, integer weights, normalizer) -> float; None for mred.
+    _exact: Optional[Callable[[Sequence[int], IntegerWeights, float], float]] = (
+        None
+    )
+
+    @property
+    def integer(self) -> bool:
+        """Whether :meth:`from_stats` (the exact form) is available."""
+        return self._exact is not None
 
     def from_distances(
         self,
@@ -273,11 +310,47 @@ class ErrorMetric:
         """
         return self._fn(distances, weights, normalizer, reference)
 
+    def from_stats(
+        self,
+        stats: Sequence[int],
+        weights: IntegerWeights,
+        normalizer: float,
+    ) -> float:
+        """Reduce the decode's five integers to the metric scalar.
 
+        Parameters
+        ----------
+        stats : sequence of int
+            ``[Σ|d|, #{d != 0}, max|d|, Σ W·|d|, Σ W·[d != 0]]`` over
+            every vector (see
+            :meth:`~repro.errors.weights.IntegerWeights.stats`).
+        weights : IntegerWeights
+            The objective's integer weights (``W``, ``ΣW``, vector
+            count).
+        normalizer : float
+            The objective's error scale.
+
+        Returns
+        -------
+        float
+            The scalar the search thresholds compare against.
+
+        Raises
+        ------
+        ValueError
+            For ``mred`` (no integer form), or when ``max|d|`` exceeds
+            what the weights can sum exactly (the sums may have
+            wrapped).
+        """
+        if self._exact is None:
+            raise ValueError(f"metric {self.name!r} has no integer form")
+        weights.check(stats[2])
+        return self._exact(stats, weights, normalizer)
+
+
+# Float forms (sampled estimator, mred): fixed-order numpy sums.
 def _metric_wmed(err, weights, normalizer, reference) -> float:
-    # Identical operand order to the historical MultiplierFitness.wmed
-    # (BLAS dot then scalar divide) — trajectories must stay bit-stable.
-    return float(np.dot(weights, err)) / normalizer
+    return float((weights * err).sum()) / normalizer
 
 
 def _metric_med(err, weights, normalizer, reference) -> float:
@@ -285,15 +358,35 @@ def _metric_med(err, weights, normalizer, reference) -> float:
 
 
 def _metric_mred(err, weights, normalizer, reference) -> float:
-    return float(np.dot(weights, relative_error_distances(err, reference)))
+    return float((weights * relative_error_distances(err, reference)).sum())
 
 
 def _metric_error_rate(err, weights, normalizer, reference) -> float:
-    return float(np.dot(weights, (err != 0).astype(np.float64)))
+    return float((weights * (err != 0)).sum())
 
 
 def _metric_worst_case(err, weights, normalizer, reference) -> float:
     return float(err.max()) / normalizer
+
+
+# Integer forms over [Σ|d|, #{d != 0}, max|d|, Σ W·|d|, Σ W·[d != 0]].
+# Python int / int is correctly rounded, and ΣW is a power of two, so
+# under uniform weights (W constant) these equal the exact float means
+# bit for bit: (W0·s) / (W0·N) == s / N.
+def _exact_wmed(stats, weights, normalizer) -> float:
+    return stats[3] / weights.total / normalizer
+
+
+def _exact_med(stats, weights, normalizer) -> float:
+    return stats[0] / weights.num_vectors / normalizer
+
+
+def _exact_error_rate(stats, weights, normalizer) -> float:
+    return stats[4] / weights.total
+
+
+def _exact_worst_case(stats, weights, normalizer) -> float:
+    return stats[2] / normalizer
 
 
 #: Registry of the standard metrics, by canonical name.  This is the
@@ -302,11 +395,15 @@ def _metric_worst_case(err, weights, normalizer, reference) -> float:
 #: and the whole stack (CLI choices, ``metric_names()``, stored
 #: designs, ``/v1/best?metric=...``) picks the new metric up.
 METRICS = {
-    "wmed": ErrorMetric("wmed", _metric_wmed),
-    "med": ErrorMetric("med", _metric_med),
+    "wmed": ErrorMetric("wmed", _metric_wmed, _exact_wmed),
+    "med": ErrorMetric("med", _metric_med, _exact_med),
     "mred": ErrorMetric("mred", _metric_mred),
-    "error-rate": ErrorMetric("error-rate", _metric_error_rate),
-    "worst-case": ErrorMetric("worst-case", _metric_worst_case),
+    "error-rate": ErrorMetric(
+        "error-rate", _metric_error_rate, _exact_error_rate
+    ),
+    "worst-case": ErrorMetric(
+        "worst-case", _metric_worst_case, _exact_worst_case
+    ),
 }
 
 _METRIC_ALIASES = {
@@ -520,7 +617,7 @@ class ErrorReport:
 def evaluate_errors_against(
     reference: np.ndarray,
     approx: np.ndarray,
-    weights: Optional[np.ndarray] = None,
+    weights=None,
     normalizer: Optional[float] = None,
 ) -> ErrorReport:
     """Full :class:`ErrorReport` against an arbitrary reference table.
@@ -528,11 +625,18 @@ def evaluate_errors_against(
     Component-agnostic sibling of :func:`evaluate_errors`: ``weights``
     is any per-vector importance vector (``None`` = uniform) and
     ``normalizer`` scales the weighted MED into the report's ``wmed``
-    slot (``max |reference|`` when omitted).
+    slot (``max |reference|`` when omitted).  Pass an objective's
+    :class:`~repro.errors.weights.IntegerWeights` to reduce ``wmed``,
+    ``error_rate`` and ``bias`` over exactly its ``W`` — then ``wmed``
+    equals the objective's WMED bit for bit.  Float weights are
+    quantized once here.
     """
-    reference = np.asarray(reference, dtype=np.int64).ravel()
+    reference, approx = _check(reference, approx)
     if normalizer is None:
         normalizer = float(np.abs(reference).max()) or 1.0
+    if weights is not None and not isinstance(weights, IntegerWeights):
+        largest = int(np.abs(reference - approx).max(initial=1))
+        weights = as_integer_weights(weights, largest, reference.size)
     w = mean_error_distance(reference, approx, weights) / normalizer
     return ErrorReport(
         med=mean_error_distance(reference, approx),

@@ -40,7 +40,6 @@ from ..core.evolution import EvolutionConfig
 from ..core.serialization import chromosome_to_string
 from ..errors.distributions import Distribution, distribution_from_spec
 from ..errors.metrics import evaluate_errors_against, get_metric
-from ..errors.truth_tables import operand_weights
 from ..obs import catalog as _obs
 from ..tech.library import TechLibrary, default_library
 from ..tech.timing import characterize
@@ -222,10 +221,14 @@ def characterize_record(
     from the stored chromosome text, so "re-characterization matches the
     stored record bit-for-bit" is checkable by plain equality.
 
-    ``error`` reduces the same float64 distance vector with the same
-    :meth:`~repro.errors.metrics.ErrorMetric.from_distances` code (and
-    operand order) as the search objective, so it equals the evolution's
-    final ``best_eval.error`` exactly, engine or no engine.
+    ``error`` is the search objective's own reduction
+    (:meth:`~repro.core.objective.CircuitObjective.error_from_distances`)
+    over the same integer distances, so it equals the evolution's final
+    ``best_eval.error`` exactly, engine or no engine.  ``wmed``,
+    ``error_rate``, ``bias`` and the power model's switching activity
+    are exact integer sums over the objective's quantized weights, and
+    ``mred`` a fixed-order float sum: no stored figure depends on the
+    host's BLAS build or thread count.
     """
     comp = get_component(component)
     objective = component_objective(
@@ -233,21 +236,16 @@ def characterize_record(
     )
     netlist = chromosome.to_netlist(name=name)
     table = truth_table(netlist, signed=objective.signed)
-    distances = np.abs(objective.reference - table).astype(np.float64)
-    error = objective.metric.from_distances(
-        distances, objective.weights, objective.normalizer,
-        objective.reference,
-    )
-    raw_weights = operand_weights(dist, objective.num_inputs)
+    distances = np.abs(objective.reference - table)
+    error = objective.error_from_distances(distances)
+    weights = objective.integer_weights
     report = evaluate_errors_against(
         objective.reference, table,
-        weights=raw_weights, normalizer=objective.normalizer,
+        weights=weights, normalizer=objective.normalizer,
     )
     # Same activity weighting as analysis.sweep.characterize_design, so
     # the electrical figures agree with the sweep-layer DesignPoints.
-    summary = characterize(
-        netlist, library, weights=raw_weights / raw_weights.sum()
-    )
+    summary = characterize(netlist, library, weights=weights)
     mred = get_metric("mred").from_distances(
         distances, objective.weights, objective.normalizer,
         objective.reference,

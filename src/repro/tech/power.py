@@ -9,7 +9,10 @@ the gate's output under the temporal-independence assumption, and ``p`` is
 the signal's 1-probability measured by simulation.  Crucially, ``p`` can
 be measured under a *weighted* stimulus — e.g. the operand distribution D
 used for WMED — so the power estimate reflects the application's data
-statistics just like the error metric does.
+statistics just like the error metric does.  Weighted probabilities
+are exact integer sums ``Σ W·bit / ΣW`` over integer weights (see
+:mod:`repro.errors.weights`), so the estimate does not depend on the
+host's BLAS build or thread count.
 
 Static (leakage) power is the sum of active-cell leakages.  Units work out
 to uW when combining fJ, fF, GHz and nW as characterized in the library.
@@ -25,6 +28,7 @@ import numpy as np
 from ..circuits.gates import gate_function
 from ..circuits.netlist import Netlist
 from ..circuits.simulator import exhaustive_inputs, simulate_signals, unpack_bits
+from ..errors.weights import as_integer_weights
 from .library import TechLibrary, default_library
 
 __all__ = ["PowerReport", "signal_probabilities", "circuit_power"]
@@ -45,7 +49,7 @@ class PowerReport:
 def signal_probabilities(
     netlist: Netlist,
     input_words: Optional[np.ndarray] = None,
-    weights: Optional[np.ndarray] = None,
+    weights=None,
     num_vectors: Optional[int] = None,
 ) -> Dict[int, float]:
     """Per-signal 1-probability over the stimulus, for active signals.
@@ -54,7 +58,10 @@ def signal_probabilities(
         netlist: Circuit to analyze.
         input_words: Packed stimulus; defaults to exhaustive enumeration.
         weights: Optional per-vector probability weights (e.g. the WMED
-            vector weights); defaults to uniform.
+            vector weights) — an objective's
+            :class:`~repro.errors.weights.IntegerWeights`, or float
+            weights, quantized here; defaults to uniform.  Weighted
+            probabilities are the exact ``Σ W·bit / ΣW``.
         num_vectors: Number of valid test vectors in the stimulus.
             Defaults to ``2**num_inputs`` for the implicit exhaustive
             stimulus, to ``len(weights)`` when weights are given, and to
@@ -70,23 +77,19 @@ def signal_probabilities(
     if num_vectors is None:
         num_vectors = int(input_words.shape[1]) * 64
     if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64).ravel()
-        num_vectors = weights.shape[0]
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("weights must have positive mass")
-        weights = weights / total
+        weights = as_integer_weights(weights, 1)
+        num_vectors = weights.num_vectors
 
     values = simulate_signals(netlist, input_words)
     probs: Dict[int, float] = {}
     for sig, words in enumerate(values):
         if words is None:
             continue
-        bits = unpack_bits(words, num_vectors).astype(np.float64)
+        bits = unpack_bits(words, num_vectors)
         if weights is None:
-            probs[sig] = float(bits.mean())
+            probs[sig] = float(bits.astype(np.float64).mean())
         else:
-            probs[sig] = float(np.dot(weights, bits))
+            probs[sig] = weights.weighted_sum(bits) / weights.total
     return probs
 
 
@@ -94,7 +97,7 @@ def circuit_power(
     netlist: Netlist,
     library: Optional[TechLibrary] = None,
     input_words: Optional[np.ndarray] = None,
-    weights: Optional[np.ndarray] = None,
+    weights=None,
     num_vectors: Optional[int] = None,
 ) -> PowerReport:
     """Estimate circuit power in uW under the given stimulus statistics.

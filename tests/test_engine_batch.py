@@ -6,8 +6,8 @@ integer kernels, same reductions — whatever the component, metric,
 backend, or brood composition (duplicates, cache hits).  On top of
 that sit the batch-specific behaviors: within-batch phenotype dedupe,
 the eval-cache lookup that prevents recompiled cache-miss storms, the
-single-owner arena guard, the ``REPRO_OMP`` knob, and the native
-exact-integer reduction fast path.
+single-owner arena guard, the ``REPRO_OMP`` knob, and the exact-integer
+decode statistics every metric but mred reduces from.
 """
 
 from __future__ import annotations
@@ -21,13 +21,20 @@ from repro.core.components import component_objective, component_names, get_comp
 from repro.core.evolution import EvolutionConfig, evolve
 from repro.core.mutation import mutate
 from repro.core.seeding import netlist_to_chromosome, params_for_netlist
+from repro.core.components import sampled_component_objective
+from repro.core.objective import SampleSpec
 from repro.engine import (
     CompiledMultiplierFitness,
     CompiledObjective,
+    CompiledSampledObjective,
     native_available,
 )
 from repro.engine.native import omp_threads
-from repro.errors.distributions import discretized_half_normal, uniform
+from repro.errors.distributions import (
+    discretized_half_normal,
+    distribution_from_spec,
+    uniform,
+)
 
 BACKENDS = ["numpy"] + (["native"] if native_available() else [])
 METRICS = ("wmed", "med", "mred", "error-rate", "worst-case")
@@ -183,41 +190,83 @@ def test_omp_threads_always_concrete(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Exact-integer reduction fast path
+# Exact-integer reduction: the decode's five statistics
 # ----------------------------------------------------------------------
-def test_fast_reduce_eligibility():
-    # Uniform weights are one power of two: wmed/med/error-rate/worst-case
-    # reduce exactly; mred never does; non-pow2 weights disable the
-    # weight-dependent metrics but not med/worst-case.
-    for metric, kind in (("wmed", "wmed"), ("med", "med"),
-                         ("error-rate", "error-rate"),
-                         ("worst-case", "worst-case"), ("mred", None)):
-        obj = _objective("multiplier", 4, metric, "auto")
-        assert obj.stats()["fast_reduce"] == kind
+def test_fast_reduce_takes_integer_path_for_every_exhaustive_metric():
+    # The integer statistics cover every metric but mred under any
+    # weights — no power-of-two or vector-count condition remains.
     skewed = discretized_half_normal(4, sigma=4.0, name="Dh")
-    for metric, kind in (("wmed", None), ("error-rate", None),
-                         ("med", "med"), ("worst-case", "worst-case")):
-        obj = CompiledObjective(
-            component_objective("multiplier", 4, skewed, metric=metric)
+    for dist in (uniform(4), distribution_from_spec("d2", 4, False), skewed):
+        for metric, kind in (("wmed", "wmed"), ("med", "med"),
+                             ("error-rate", "error-rate"),
+                             ("worst-case", "worst-case"), ("mred", None)):
+            obj = CompiledObjective(
+                component_objective("multiplier", 4, dist, metric=metric)
+            )
+            assert obj.stats()["fast_reduce"] == kind
+    # Sampled objectives keep the distance row for their intervals.
+    sampled = CompiledSampledObjective(
+        sampled_component_objective(
+            "multiplier", 4, distribution_from_spec("d2", 4, False),
+            SampleSpec(64, 2, seed=0),
         )
-        assert obj.stats()["fast_reduce"] == kind
+    )
+    assert sampled.stats()["fast_reduce"] is None
 
 
-@pytest.mark.skipif(not native_available(), reason="native backend required")
-def test_reduce_stats_match_materialized_distances():
-    # The C integer triple must equal what the float64 distance row
-    # implies — exactly, not approximately.
-    obj = _objective("multiplier", 4, "wmed", "native", cache_entries=0)
-    rt = obj._runtime(_seed_chromosome("multiplier", 4).params)
-    for ch in _brood("multiplier", 4, 12, seed=21):
+WEIGHT_LAWS = (
+    ("uniform", lambda w: uniform(w)),
+    ("d2", lambda w: distribution_from_spec("d2", w, False)),
+    ("half-normal", lambda w: discretized_half_normal(w, sigma=w / 2.0,
+                                                      name="Dh")),
+)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("law", [name for name, _ in WEIGHT_LAWS])
+@pytest.mark.parametrize("width", [2, 4, 9])
+def test_weighted_stats_equal_int64_dot_of_materialized_distances(
+    backend, law, width
+):
+    # The five integers every backend reduces must equal the int64 dot
+    # of the full per-vector weights W with the materialized distances
+    # — exactly.  Width 2 has a weight period below the C loop's 8
+    # lanes, width 4 runs the AVX2 loop and its tail, width 9 the
+    # >16-bit decode.
+    dist = dict(WEIGHT_LAWS)[law](width)
+    obj = CompiledObjective(
+        component_objective("multiplier", width, dist, metric="wmed"),
+        backend=backend, cache_entries=0,
+    )
+    counts = obj.integer_weights.counts
+    assert int(counts.sum()) == obj.integer_weights.total
+    rt = obj._runtime(_seed_chromosome("multiplier", width).params)
+    brood = _brood("multiplier", width, 6, seed=21)
+    for ch in brood:
         n_ops = rt.compile(ch.genes)
         rt.execute(n_ops)
-        s, nz, mx = rt.reduce_stats(obj.signed)
-        err = rt.error(obj.signed, obj._exact32).copy()
-        assert s == int(err.sum())
-        assert nz == int(np.count_nonzero(err))
-        assert mx == int(err.max())
-        # And the fast formula reproduces the reference metric exactly.
-        assert obj._reduce_error(s, nz, mx) == obj.metric.from_distances(
-            err, obj.weights, obj.normalizer, obj.reference
-        )
+        d = rt.error(obj.signed, obj._exact32).copy()
+        assert d.dtype == np.int64
+        want = [
+            int(d.sum()), int(np.count_nonzero(d)), int(d.max()),
+            int(np.dot(counts, d)), int(np.dot(counts, (d != 0)
+                                               .astype(np.int64))),
+        ]
+        assert obj.integer_weights.stats(d) == want
+        if backend == "native":
+            assert rt.reduce_stats(obj.signed) == want
+            rt.ensure_batch(1)
+            rt.compile_into_lane(ch.genes, 0)
+            assert rt.execute_lane_stats(0, obj.signed) == want
+    if backend == "native":
+        # The fused multi-candidate dispatch writes the same rows.
+        rt.ensure_batch(len(brood))
+        for k, ch in enumerate(brood):
+            rt.compile_into_lane(ch.genes, k)
+        rt.execute_batch(len(brood), obj.signed, 2, stats=True)
+        fused = rt.arena.batch_stats[: len(brood)].tolist()
+        single = []
+        for ch in brood:
+            rt.execute(rt.compile(ch.genes))
+            single.append(rt.reduce_stats(obj.signed))
+        assert fused == single
