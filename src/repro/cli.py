@@ -141,11 +141,19 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             f" ci95=[{100 * best.ci_low:.4f}%, {100 * best.ci_high:.4f}%]"
             f" samples={sample.samples}x{sample.replicates}"
         )
+    # The backend that served the run, and why any evaluation fell back
+    # to the interpreter (--engine off has no engine at all).
+    engine = "off"
+    if hasattr(evaluator, "stats"):
+        stats = evaluator.stats()
+        engine = stats["backend"]
+        if stats["fallback"]:
+            engine += f" fallback={','.join(stats['fallback'])}"
     print(
         f"# component={comp.name} metric={evaluator.metric.name} "
         f"error={100 * best.wmed:.4f}%{ci} "
         f"area={best.area:.1f}um2 "
-        f"evaluations={result.evaluations}",
+        f"evaluations={result.evaluations} engine={engine}",
         file=sys.stderr,
     )
     return 0

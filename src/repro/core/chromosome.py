@@ -188,26 +188,37 @@ class Chromosome:
         if self._active_cache is not None:
             return self._active_cache
         p = self.params
-        genes = self.genes
+        # Python ints and lists: indexing a numpy array one scalar at a
+        # time costs several times more than the sweep's own work.
+        genes = self.genes.tolist()
         gpn = p.genes_per_node
         ni = p.num_inputs
+        nn = p.num_nodes
         arities = p._arities
-        needed = np.zeros(p.num_nodes, dtype=bool)
-        for out in genes[p.num_nodes * gpn:]:
+        end = nn * gpn
+        src_a = genes[0:end:gpn]
+        src_b = genes[1:end:gpn]
+        fns = genes[p.arity:end:gpn]
+        needed = [False] * nn
+        for out in genes[end:]:
             if out >= ni:
                 needed[out - ni] = True
         # Sources always precede their node, so one reverse sweep settles
         # the transitive fan-in without a worklist.
-        for node in range(p.num_nodes - 1, -1, -1):
-            if not needed[node]:
-                continue
-            base = node * gpn
-            arity = arities[genes[base + 2]]
-            if arity >= 1 and genes[base] >= ni:
-                needed[genes[base] - ni] = True
-            if arity >= 2 and genes[base + 1] >= ni:
-                needed[genes[base + 1] - ni] = True
-        active = np.nonzero(needed)[0]
+        for node in range(nn - 1, -1, -1):
+            if needed[node]:
+                arity = arities[fns[node]]
+                if arity >= 1:
+                    a = src_a[node]
+                    if a >= ni:
+                        needed[a - ni] = True
+                    if arity >= 2:
+                        b = src_b[node]
+                        if b >= ni:
+                            needed[b - ni] = True
+        active = np.array(
+            [node for node, hit in enumerate(needed) if hit], dtype=np.intp
+        )
         self._active_cache = active
         return active
 

@@ -39,11 +39,16 @@ from typing import List, Optional
 
 import numpy as np
 
-__all__ = ["BufferArena", "STATS_WIDTH"]
+__all__ = ["BufferArena", "STATS_WIDTH", "MAX_OUTPUT_BITS"]
 
 #: Integers per candidate of the reduced decode: Σ|d|, #{d != 0},
 #: max|d|, Σ W·|d|, Σ W·[d != 0] (the native decode's stats row).
 STATS_WIDTH = 5
+
+#: Widest output bus the decode serves.  Values and distances are int64;
+#: a 62-bit value against a reference with ``|ref| < 2**62`` keeps every
+#: ``|ref - value|`` below ``2**63`` (``ENGINE_MAX_BITS`` in the C source).
+MAX_OUTPUT_BITS = 62
 
 
 class BufferArena:
@@ -69,9 +74,10 @@ class BufferArena:
             raise ValueError(
                 f"stimulus has {stimulus.shape[0]} rows, expected {num_inputs}"
             )
-        if num_outputs > 31:
-            # Decode accumulates into int32; 32 unsigned bits would wrap.
-            raise ValueError("engine decodes at most 31 output bits")
+        if num_outputs > MAX_OUTPUT_BITS:
+            raise ValueError(
+                f"engine decodes at most {MAX_OUTPUT_BITS} output bits"
+            )
         self.num_inputs = num_inputs
         self.num_nodes = num_nodes
         self.num_outputs = num_outputs
@@ -82,8 +88,7 @@ class BufferArena:
         slots = num_inputs + num_nodes
         self.buf = np.empty((slots, self.words), dtype=np.uint64)
         self.buf[:num_inputs] = stimulus
-        #: Row views, prebuilt so the numpy kernel loop does no slicing.
-        self.rows: List[np.ndarray] = list(self.buf)
+        self._rows: Optional[List[np.ndarray]] = None
 
         # Compiled-program slabs (the in-place compile target).
         self.ops = np.empty(num_nodes, dtype=np.int32)
@@ -92,11 +97,15 @@ class BufferArena:
         self.dst = np.empty(num_nodes, dtype=np.int32)
         self.out_slots = np.empty(num_outputs, dtype=np.int32)
 
-        # Decode / reduction scratch.
-        ngroups = (self.num_vectors + 7) // 8
-        self.decode_scratch = np.empty(4 * max(ngroups, 1), dtype=np.uint64)
+        # Decode / reduction scratch: the bit transpose writes one row of
+        # ceil(num_vectors / 8) words per byte group of the output bus.
+        self.scratch_words = (
+            max((num_outputs + 7) // 8, 1)
+            * max((self.num_vectors + 7) // 8, 1)
+        )
+        self.decode_scratch = np.empty(self.scratch_words, dtype=np.uint64)
         self.planes = np.empty((num_outputs, self.words), dtype=np.uint64)
-        self.values = np.empty(self.num_vectors, dtype=np.int32)
+        self.values = np.empty(self.num_vectors, dtype=np.int64)
         #: Per-vector |reference - output| (metrics with no integer
         #: form and sampled estimates read it; the rest never write it).
         self.err = np.empty(self.num_vectors, dtype=np.int64)
@@ -117,6 +126,17 @@ class BufferArena:
         self.batch_err: Optional[np.ndarray] = None
         self.batch_stats: Optional[np.ndarray] = None
         self._batch_rows: List[List[np.ndarray]] = []
+
+    @property
+    def rows(self) -> List[np.ndarray]:
+        """Row views of ``buf``, so the numpy kernel loop does no slicing.
+
+        Built on first use: only the numpy backend reads them, and at
+        width 16 they are thousands of small objects.
+        """
+        if self._rows is None:
+            self._rows = list(self.buf)
+        return self._rows
 
     # ------------------------------------------------------------------
     def assert_owner(self) -> None:
@@ -144,8 +164,7 @@ class BufferArena:
         """
         if n_cand <= self.batch_capacity:
             return
-        ni, nn, no = self.num_inputs, self.num_nodes, self.num_outputs
-        ngroups = (self.num_vectors + 7) // 8
+        nn, no = self.num_nodes, self.num_outputs
         # Private scratch lane per candidate: slot s >= ni lives in lane
         # row s - ni; worst case (no slot reuse) needs nn rows.
         self.batch_lanes = np.empty((n_cand, nn, self.words), dtype=np.uint64)
@@ -156,7 +175,7 @@ class BufferArena:
         self.batch_out_slots = np.empty((n_cand, max(no, 1)), dtype=np.int32)
         self.batch_n_ops = np.zeros(n_cand, dtype=np.int32)
         self.batch_scratch = np.empty(
-            (n_cand, 4 * max(ngroups, 1)), dtype=np.uint64
+            (n_cand, self.scratch_words), dtype=np.uint64
         )
         self.batch_err = np.empty(
             (n_cand, self.num_vectors), dtype=np.int64
@@ -164,15 +183,21 @@ class BufferArena:
         # Per-candidate decode statistics for the native exact-reduction
         # path; rows stay untouched on the err path.
         self.batch_stats = np.zeros((n_cand, STATS_WIDTH), dtype=np.int64)
-        # Slot-indexed row views per candidate for the numpy backend:
-        # rows[s] is stimulus row s for s < ni, lane row s - ni above.
-        self._batch_rows = [
-            self.rows[:ni] + list(self.batch_lanes[c])
-            for c in range(n_cand)
-        ]
+        self._batch_rows = []
         self.batch_capacity = n_cand
         self.batch_epoch += 1
 
     def batch_rows(self, cand: int) -> List[np.ndarray]:
-        """Slot-indexed row views for batch candidate ``cand``."""
+        """Slot-indexed row views for batch candidate ``cand``.
+
+        ``rows[s]`` is stimulus row ``s`` for ``s < num_inputs`` and lane
+        row ``s - num_inputs`` above; built on first use (numpy backend
+        only) for every candidate of the current batch buffers.
+        """
+        if not self._batch_rows:
+            ni = self.num_inputs
+            self._batch_rows = [
+                self.rows[:ni] + list(self.batch_lanes[c])
+                for c in range(self.batch_capacity)
+            ]
         return self._batch_rows[cand]

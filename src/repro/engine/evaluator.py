@@ -15,6 +15,17 @@ through the evaluation engine:
    (:mod:`repro.engine.kernels`), followed by the fused decode and the
    objective's metric.
 
+The decode joins the output bits of each vector into an int64 and
+subtracts it from the int64 reference, so one compiled path serves
+every output bus up to 62 bits — the widest the sampled path accepts —
+as long as ``|reference| < 2**62``, which keeps every distance below
+``2**63``.  Buses of at most 16 bits against a reference that fits
+int32 take narrower AVX2 loops with the same integers.  An evaluation
+the engine cannot take (a gate without an opcode, a wider bus, a larger
+reference) runs on the interpreted objective and is counted in
+``repro_engine_fallback_total{reason}``; ``stats()["fallback"]`` lists
+the reasons an evaluator hit.
+
 Results are bit-identical to the interpreted objective because every
 step is integer-exact and the float step is one shared formula.  For
 every exhaustive metric but ``mred``, the native decode folds the
@@ -54,7 +65,7 @@ from ..core.objective import (
 from ..errors.distributions import Distribution
 from ..tech.library import TechLibrary
 from . import kernels
-from .arena import STATS_WIDTH, BufferArena
+from .arena import MAX_OUTPUT_BITS, STATS_WIDTH, BufferArena
 from .cache import EvalCache
 from .compiler import compile_genes_into, phenotype_signature
 from .native import NativeLib, native_lib, omp_threads
@@ -65,6 +76,14 @@ __all__ = [
     "CompiledSampledObjective",
     "CompiledMultiplierFitness",
 ]
+
+#: The decode's distances are int64: with every value below 2**62 in
+#: magnitude (a bus of at most MAX_OUTPUT_BITS), a reference below this
+#: keeps ``|reference - value| < 2**63``.
+_REFERENCE_LIMIT = 1 << 62
+#: The narrow loops subtract in int32; the reference must leave room for
+#: a 16-bit output value.
+_NARROW_REFERENCE_LIMIT = (1 << 31) - (1 << 17)
 
 
 class _Runtime:
@@ -77,8 +96,9 @@ class _Runtime:
         num_vectors: int,
         library: TechLibrary,
         native: Optional[NativeLib],
-        salt_extra: bytes = b"",
+        reference: np.ndarray,
         exact32: Optional[np.ndarray] = None,
+        salt_extra: bytes = b"",
         weight_row: Optional[np.ndarray] = None,
         weight_mask: int = 0,
     ) -> None:
@@ -86,8 +106,6 @@ class _Runtime:
         fn2op = function_opcode_table(params.functions)  # may raise KeyError
         self.fn2op = fn2op
         self.fn2op_list = [int(x) for x in fn2op]
-        # May raise ValueError (e.g. an output bus wider than the decoder
-        # supports) — the evaluator then serves this params interpreted.
         self.arena = BufferArena(
             params.num_inputs,
             params.num_nodes,
@@ -116,6 +134,11 @@ class _Runtime:
             ).encode()
             + salt_extra
         )
+        #: The int64 reference every decode subtracts from.
+        self.reference = reference
+        #: Its int32 copy, given only when it leaves int32 headroom: the
+        #: native decode then takes the narrow AVX2 loops on buses of at
+        #: most 16 bits; otherwise the wide int64 loop.
         self.exact32 = exact32
         #: Integer weights for the reduced decode: W[v] =
         #: weight_row[v & weight_mask], or weight_row[0] when the mask
@@ -152,7 +175,8 @@ class _Runtime:
             self.p_arity = OP_ARITY.ctypes.data
             self.p_needed = self.needed.ctypes.data
             self.p_scratch_i32 = self.scratch_i32.ctypes.data
-            self.p_exact = (
+            self.p_exact = reference.ctypes.data
+            self.p_exact32 = (
                 exact32.ctypes.data if exact32 is not None else 0
             )
 
@@ -190,16 +214,16 @@ class _Runtime:
         else:
             kernels.run_program(a, n_ops)
 
-    def error(self, signed: bool, exact32: np.ndarray) -> np.ndarray:
+    def error(self, signed: bool) -> np.ndarray:
         a = self.arena
         if self.native is not None:
             self.native.decode_err(
                 self.p_buf, a.words, self.p_out_slots, a.num_outputs,
-                a.num_vectors, signed, self.p_decode_scratch, exact32,
-                self.p_err,
+                a.num_vectors, signed, self.p_decode_scratch,
+                self.p_exact32, self.p_exact, self.p_err,
             )
             return a.err
-        return kernels.decode_error(a, a.num_outputs, signed, exact32)
+        return kernels.decode_error(a, a.num_outputs, signed, self.reference)
 
     def reduce_stats(self, signed: bool) -> list:
         """Decode + exact integer reduction of the single-path outputs.
@@ -212,8 +236,8 @@ class _Runtime:
         a = self.arena
         self.native.decode_reduce(
             self.p_buf, a.words, self.p_out_slots, a.num_outputs,
-            a.num_vectors, signed, self.p_decode_scratch, self.p_exact,
-            self.p_weight_row, self.weight_mask, self.p_stats,
+            a.num_vectors, signed, self.p_decode_scratch, self.p_exact32,
+            self.p_exact, self.p_weight_row, self.weight_mask, self.p_stats,
         )
         return self.stats.tolist()
 
@@ -289,7 +313,7 @@ class _Runtime:
                         a.batch_out_slots.shape[1], a.num_vectors,
                     ),
                     (
-                        self.p_b_scratch, 0, self.p_exact,
+                        self.p_b_scratch, 0, self.p_exact32, self.p_exact,
                         self.p_weight_row, self.weight_mask, self.p_err,
                         a.num_vectors, self.p_b_stats, 1,
                     ),
@@ -372,7 +396,8 @@ class _Runtime:
                 a.batch_out_slots.shape[1], a.num_vectors, signed,
                 self.p_b_scratch,
                 0 if serial else a.batch_scratch.shape[1],
-                self.p_exact, self.p_b_err, a.num_vectors, nthreads,
+                self.p_exact32, self.p_exact, self.p_b_err, a.num_vectors,
+                nthreads,
                 stats=self.p_b_stats if stats else 0,
                 weight_row=self.p_weight_row,
                 weight_mask=self.weight_mask,
@@ -381,7 +406,7 @@ class _Runtime:
             for k in range(n_lanes):
                 kernels.run_program_batch(a, k, int(a.batch_n_ops[k]))
                 kernels.decode_error_batch(
-                    a, k, a.num_outputs, signed, self.exact32
+                    a, k, a.num_outputs, signed, self.reference
                 )
 
     def execute_lane(self, lane: int, signed: bool) -> np.ndarray:
@@ -404,7 +429,7 @@ class _Runtime:
             a.words, 1, n_ops_p, ops_p, sa_p, sb_p, dst_p,
             a.num_nodes, osl_p, a.num_outputs,
             a.batch_out_slots.shape[1], a.num_vectors, signed,
-            self.p_b_scratch, 0, self.p_exact, self.p_err,
+            self.p_b_scratch, 0, self.p_exact32, self.p_exact, self.p_err,
             a.num_vectors, 1,
         )
         return a.err
@@ -443,19 +468,27 @@ class _EngineEvalMixin:
                 "(no C compiler, or REPRO_ENGINE forces numpy)"
             )
         self._native = native
-        # The engine decodes into int32 and (for <= 16 output bits) forms
-        # `exact - value` in int32 too, so the reference must leave
-        # headroom for the largest decodable output magnitude (2**16) or
-        # the native subtraction could overflow.  Wider references
-        # (possible for a custom netlist objective) are served via the
-        # interpreted path instead.
-        self._engine_decodable = bool(
-            np.abs(self.reference).max(initial=0) < (1 << 31) - (1 << 17)
+        # The engine decodes into int64, so every output bus up to
+        # MAX_OUTPUT_BITS runs compiled as long as |reference| < 2**62
+        # (then no distance wraps).  A reference that also leaves int32
+        # headroom gets an int32 copy, which selects the narrow AVX2
+        # decode loops on buses of at most 16 bits; the rest take the
+        # wide int64 loop.  Anything else is served interpreted, and
+        # counted by reason (see _runtime).
+        self._reference64 = np.ascontiguousarray(self.reference, np.int64)
+        top = max(
+            int(self._reference64.max(initial=0)),
+            -int(self._reference64.min(initial=0)),
         )
+        self._reference_in_range = top < _REFERENCE_LIMIT
         self._exact32 = (
-            self.reference.astype(np.int32) if self._engine_decodable else None
+            self._reference64.astype(np.int32)
+            if top < _NARROW_REFERENCE_LIMIT else None
         )
         self._runtimes: Dict[CGPParams, Optional[_Runtime]] = {}
+        #: Why each params without a runtime is served interpreted (a
+        #: FALLBACK_REASONS label of repro_engine_fallback_total).
+        self._fallback: Dict[CGPParams, str] = {}
         # Objective identity folded into every phenotype signature: the
         # same compiled program scores differently under a different
         # reference, weight vector or metric.
@@ -522,27 +555,38 @@ class _EngineEvalMixin:
         return "native" if self._native is not None else "numpy"
 
     def _runtime(self, params: CGPParams) -> Optional[_Runtime]:
+        """The compiled state for ``params``, or None (interpreted).
+
+        A miss is remembered with its reason: ``output-width`` (a bus
+        wider than the decode), ``reference-range`` (``|reference|``
+        reaches ``2**62``) or ``no-opcode`` (a gate function the engine
+        cannot compile).
+        """
         rt = self._runtimes.get(params)
         if rt is None and params not in self._runtimes:
-            try:
-                if not self._engine_decodable:
-                    raise ValueError("reference exceeds int32 decode range")
-                rt = _Runtime(
-                    params,
-                    self.stimulus,
-                    self.num_vectors,
-                    self.library,
-                    self._native,
-                    salt_extra=self._objective_salt,
-                    exact32=self._exact32,
-                    weight_row=self._weight_row,
-                    weight_mask=self._weight_mask,
-                )
-            except (KeyError, ValueError):
-                # A gate function without an engine opcode, or a shape
-                # the engine cannot decode: remember the miss and serve
-                # this params via the interpreted path.
-                rt = None
+            reason = None
+            if params.num_outputs > MAX_OUTPUT_BITS:
+                reason = "output-width"
+            elif not self._reference_in_range:
+                reason = "reference-range"
+            else:
+                try:
+                    rt = _Runtime(
+                        params,
+                        self.stimulus,
+                        self.num_vectors,
+                        self.library,
+                        self._native,
+                        self._reference64,
+                        exact32=self._exact32,
+                        salt_extra=self._objective_salt,
+                        weight_row=self._weight_row,
+                        weight_mask=self._weight_mask,
+                    )
+                except KeyError:
+                    reason = "no-opcode"
+            if reason is not None:
+                self._fallback[params] = reason
             self._runtimes[params] = rt
         return rt
 
@@ -590,6 +634,9 @@ class _EngineEvalMixin:
         """Measure tuple of a candidate, via cache or fresh execution."""
         rt = self._runtime(chromosome.params)
         if rt is None:
+            _obs.ENGINE_FALLBACK.labels(
+                self._fallback[chromosome.params]
+            ).inc()
             return self._measure_interpreted(chromosome)
         rt.arena.assert_owner()
         n_ops = rt.compile(chromosome.genes)
@@ -604,9 +651,7 @@ class _EngineEvalMixin:
         if rt.native is not None and self._reduce_kind is not None:
             measure = (self._reduce_error(rt.reduce_stats(self.signed)), area)
         else:
-            measure = self._finish_measure(
-                rt.error(self.signed, self._exact32), area
-            )
+            measure = self._finish_measure(rt.error(self.signed), area)
         if caching:
             self.cache.put(sig, *measure)
         return measure
@@ -618,7 +663,7 @@ class _EngineEvalMixin:
             return CircuitObjective.truth_table(self, chromosome)
         n_ops = rt.compile(chromosome.genes)
         rt.execute(n_ops)
-        return rt.values(self.signed).astype(np.int64)
+        return rt.values(self.signed).copy()
 
     def error(self, chromosome: Chromosome) -> float:
         self._check_params(chromosome.params)
@@ -786,6 +831,7 @@ class _EngineEvalMixin:
             "cache": self.cache.stats(),
             "fast_reduce": self._reduce_kind,
             "runtimes": len(self._runtimes),
+            "fallback": sorted(set(self._fallback.values())),
             "batch": {
                 "calls": self._batch_calls,
                 "evals": self._batch_evals,
@@ -843,9 +889,12 @@ class CompiledSampledObjective(_EngineEvalMixin, SampledObjective):
     same phenotype never alias.  The exact-integer decode statistics are
     never used here: the CI needs the materialized distance row.
 
-    Widths whose reference magnitudes exceed the engine's int32 decode
-    range (e.g. multipliers past width 15) transparently serve through
-    the interpreted sampled path instead — same estimates, no engine.
+    The int64 decode serves every width the sampled path accepts (output
+    buses up to 62 bits, ``|reference| < 2**62``), so wide multipliers
+    run on the compiled kernel like narrow ones.  An objective outside
+    that range is served on the interpreted sampled path — same
+    estimates — and counted in ``repro_engine_fallback_total`` and
+    ``stats()["fallback"]``.
 
     Args:
         objective: The sampled objective to accelerate (anything built
@@ -873,8 +922,8 @@ class CompiledSampledObjective(_EngineEvalMixin, SampledObjective):
         return (est.value, area, est.ci_low, est.ci_high)
 
     def _measure_interpreted(self, chromosome: Chromosome) -> tuple:
-        # error_distances() routes through the mixin's truth_table, so
-        # this also covers the engine-undecodable widths.
+        # error_distances() routes through the mixin's truth_table,
+        # which is itself interpreted when no runtime exists.
         est = SampledObjective.estimate_distances(
             self, CircuitObjective.error_distances(self, chromosome)
         )

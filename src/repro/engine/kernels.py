@@ -83,7 +83,11 @@ def _decode_planes(
     signed: bool,
     values: np.ndarray,
 ) -> np.ndarray:
-    """Bit-transpose ``planes`` into per-vector integers in ``values``."""
+    """Bit-transpose ``planes`` into per-vector int64 ``values``.
+
+    Every bus the engine serves (up to 62 bits) fits: the top byte group
+    holds at most six bits, so no shift reaches the sign bit.
+    """
     bits = np.unpackbits(
         planes.view(np.uint8), axis=1, bitorder="little"
     )[:, :num_vectors]
@@ -97,10 +101,10 @@ def _decode_planes(
         part = np.einsum(
             "jn,j->n", bits[group_start:group_start + k], _POW2_8[:k]
         )
-        values |= part.astype(np.int32) << group_start
+        values |= part.astype(np.int64) << group_start
     if signed:
-        half = np.int32(1) << np.int32(n_bits - 1)
-        values[values >= half] -= half << np.int32(1)
+        half = np.int64(1) << np.int64(n_bits - 1)
+        values[values >= half] -= half << np.int64(1)
     return values
 
 
@@ -123,7 +127,11 @@ def decode_values(
 def decode_error(
     arena: BufferArena, n_bits: int, signed: bool, exact: np.ndarray
 ) -> np.ndarray:
-    """Fused decode + ``|exact - value|`` into the int64 distance row."""
+    """Fused decode + ``|exact - value|`` into the int64 distance row.
+
+    ``exact`` is the int64 reference; ``|exact| < 2**62`` keeps every
+    distance below ``2**63``.
+    """
     values = decode_values(arena, n_bits, signed)
     err = arena.err
     np.subtract(exact, values, out=err, dtype=np.int64)

@@ -37,7 +37,7 @@ import numpy as np
 __all__ = ["NativeLib", "native_lib", "native_available", "omp_threads"]
 
 #: Bump when C_SOURCE changes incompatibly (part of the .so cache key).
-_ABI_VERSION = 5
+_ABI_VERSION = 6
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -61,6 +61,11 @@ C_SOURCE = r"""
 
 /* Integers per candidate in the reduced decode's stats row. */
 #define ENGINE_STATS 5
+
+/* Widest output bus the decode serves: values and distances are int64,
+   and a 62-bit value against a reference with |exact| < 2^62 keeps
+   |exact - value| < 2^63. */
+#define ENGINE_MAX_BITS 62
 
 /* Opcodes: must match repro.engine.opcodes.OP_NAMES. */
 
@@ -275,30 +280,44 @@ static int64_t transpose_planes(const uint64_t* const* planes,
     return ngroups;
 }
 
+/* Byte-group rows of the transposed planes: acc[g][v] holds output bits
+   8g .. 8g+7 of vector v.  Rows past the bus's (n_bits + 7) / 8 groups
+   alias row 0 (never read), so callers can pass acc[1] unconditionally
+   without pointing past the scratch. */
+static int32_t group_rows(const uint64_t* scratch, int32_t n_bits,
+                          int64_t ngroups, const uint8_t** acc)
+{
+    int32_t n_acc = (n_bits + 7) >> 3;
+    for (int32_t g = 0; g < 8; ++g)
+        acc[g] = (const uint8_t*)(scratch + (g < n_acc ? g * ngroups : 0));
+    return n_acc;
+}
+
+/* Vector v's output word joined from its n_acc byte groups, as int64:
+   sign-extended from bit 63 - ext when do_sign (ext = 64 - n_bits). */
+static inline int64_t wide_value(const uint8_t* const* acc, int32_t n_acc,
+                                 int32_t do_sign, int32_t ext, int64_t v)
+{
+    uint64_t u = 0;
+    for (int32_t g = 0; g < n_acc; ++g)
+        u |= (uint64_t)acc[g][v] << (8 * g);
+    return do_sign ? (int64_t)(u << ext) >> ext : (int64_t)u;
+}
+
 void cgp_decode(const uint64_t* arena, int32_t W, const int32_t* out_slots,
                 int32_t n_bits, int64_t num_vectors, int32_t do_sign,
-                uint64_t* scratch, int32_t* restrict values)
+                uint64_t* scratch, int64_t* restrict values)
 {
-    const uint64_t* planes[32];
+    const uint64_t* planes[ENGINE_MAX_BITS];
     for (int32_t j = 0; j < n_bits; ++j)
         planes[j] = arena + (size_t)out_slots[j] * W;
     int64_t ngroups =
         transpose_planes(planes, n_bits, num_vectors, scratch);
-    int32_t n_acc = (n_bits + 7) >> 3;
-    const uint8_t* a0 = (const uint8_t*)scratch;
-    const uint8_t* a1 = (const uint8_t*)(scratch + ngroups);
-    const uint8_t* a2 = (const uint8_t*)(scratch + 2 * ngroups);
-    const uint8_t* a3 = (const uint8_t*)(scratch + 3 * ngroups);
-    int32_t half = (do_sign && n_bits > 0 && n_bits < 32)
-                       ? (int32_t)(1U << (n_bits - 1)) : 0;
-    for (int64_t v = 0; v < num_vectors; ++v) {
-        int32_t val = a0[v];
-        if (n_acc > 1) val |= (int32_t)a1[v] << 8;
-        if (n_acc > 2) val |= (int32_t)a2[v] << 16;
-        if (n_acc > 3) val |= (int32_t)a3[v] << 24;
-        if (do_sign && val >= half) val -= half << 1;
-        values[v] = val;
-    }
+    const uint8_t* acc[8];
+    int32_t n_acc = group_rows(scratch, n_bits, ngroups, acc);
+    int32_t sign = do_sign && n_bits > 0;
+    for (int64_t v = 0; v < num_vectors; ++v)
+        values[v] = wide_value(acc, n_acc, sign, 64 - n_bits, v);
 }
 
 /* Fused decode + |exact - value| (the per-vector distance row, int64).
@@ -458,71 +477,33 @@ static void reduce_loop_16(const uint8_t* restrict a0,
     store_stats(stats, sum, nz, mx, ws, wnz, wrow, wmask);
 }
 
-static void decode_err_planes(const uint64_t* const* planes, int32_t n_bits,
-                              int64_t num_vectors, int32_t do_sign,
-                              uint64_t* scratch, const int32_t* exact,
-                              int64_t* restrict err)
+/* Wide decode + |exact - value|: any bus up to ENGINE_MAX_BITS, against
+   an int64 reference.  |exact| < 2^62 and a 62-bit value keep every
+   distance below 2^63, so nothing wraps. */
+static void err_loop_wide(const uint8_t* const* acc, int32_t n_acc,
+                          int32_t do_sign, int32_t ext,
+                          const int64_t* restrict exact,
+                          int64_t* restrict err, int64_t n)
 {
-    int64_t ngroups =
-        transpose_planes(planes, n_bits, num_vectors, scratch);
-    int32_t n_acc = (n_bits + 7) >> 3;
-    const uint8_t* restrict a0 = (const uint8_t*)scratch;
-    const uint8_t* restrict a1 = (const uint8_t*)(scratch + ngroups);
-    const uint8_t* a2 = (const uint8_t*)(scratch + 2 * ngroups);
-    const uint8_t* a3 = (const uint8_t*)(scratch + 3 * ngroups);
-    if (n_bits <= 16) {
-        err_loop_16(a0, a1, n_acc > 1, do_sign && n_bits > 0,
-                    32 - n_bits, exact, err, num_vectors);
-        return;
-    }
-    int32_t half = (do_sign && n_bits < 32)
-                       ? (int32_t)(1U << (n_bits - 1)) : 0;
-    for (int64_t v = 0; v < num_vectors; ++v) {
-        int32_t val = a0[v] | ((int32_t)a1[v] << 8);
-        if (n_acc > 2) val |= (int32_t)a2[v] << 16;
-        if (n_acc > 3) val |= (int32_t)a3[v] << 24;
-        if (do_sign && val >= half) val -= half << 1;
-        int64_t d = (int64_t)exact[v] - (int64_t)val;
+    for (int64_t v = 0; v < n; ++v) {
+        int64_t d = exact[v] - wide_value(acc, n_acc, do_sign, ext, v);
         err[v] = d < 0 ? -d : d;
     }
 }
 
-/* Integer-statistics twin of decode_err_planes: identical decode and
-   distance expressions, but the distances are reduced on the fly into
-   stats = {sum |d|, count(d != 0), max |d|, sum W|d|, sum W[d != 0]}
-   (see reduce_loop_16) with no distance row ever written.  |d| < 2^32
-   and num_vectors <= 2^30 keep the plain sums exact; the caller checks
-   max |d| against the weights' bound for the weighted ones. */
-static void decode_reduce_planes(const uint64_t* const* planes,
-                                 int32_t n_bits, int64_t num_vectors,
-                                 int32_t do_sign, uint64_t* scratch,
-                                 const int32_t* exact,
-                                 const int64_t* wrow, int64_t wmask,
-                                 int64_t* restrict stats)
+/* Integer-statistics twin of err_loop_wide (see reduce_loop_16 for the
+   five sums).  The caller bounds N * max |d| and the weighted sums by
+   2^63 (ErrorMetric.from_stats checks max |d| against both). */
+static void reduce_loop_wide(const uint8_t* const* acc, int32_t n_acc,
+                             int32_t do_sign, int32_t ext,
+                             const int64_t* restrict exact, int64_t n,
+                             const int64_t* restrict wrow, int64_t wmask,
+                             int64_t* restrict stats)
 {
-    int64_t ngroups =
-        transpose_planes(planes, n_bits, num_vectors, scratch);
-    int32_t n_acc = (n_bits + 7) >> 3;
-    const uint8_t* restrict a0 = (const uint8_t*)scratch;
-    const uint8_t* restrict a1 = (const uint8_t*)(scratch + ngroups);
-    const uint8_t* a2 = (const uint8_t*)(scratch + 2 * ngroups);
-    const uint8_t* a3 = (const uint8_t*)(scratch + 3 * ngroups);
-    if (n_bits <= 16) {
-        reduce_loop_16(a0, a1, n_acc > 1, do_sign && n_bits > 0,
-                       32 - n_bits, exact, num_vectors, wrow, wmask,
-                       stats);
-        return;
-    }
-    int32_t half = (do_sign && n_bits < 32)
-                       ? (int32_t)(1U << (n_bits - 1)) : 0;
     uint64_t sum = 0, nz = 0, ws = 0, wnz = 0;
     int64_t mx = 0;
-    for (int64_t v = 0; v < num_vectors; ++v) {
-        int32_t val = a0[v] | ((int32_t)a1[v] << 8);
-        if (n_acc > 2) val |= (int32_t)a2[v] << 16;
-        if (n_acc > 3) val |= (int32_t)a3[v] << 24;
-        if (do_sign && val >= half) val -= half << 1;
-        int64_t d = (int64_t)exact[v] - (int64_t)val;
+    for (int64_t v = 0; v < n; ++v) {
+        int64_t d = exact[v] - wide_value(acc, n_acc, do_sign, ext, v);
         if (d < 0) d = -d;
         sum += (uint64_t)d;
         nz += (d != 0);
@@ -536,30 +517,81 @@ static void decode_reduce_planes(const uint64_t* const* planes,
     store_stats(stats, sum, nz, mx, ws, wnz, wrow, wmask);
 }
 
+/* Decode + distance row.  The narrow AVX2 loop runs when the bus has at
+   most 16 bits and the caller passes the int32 copy of the reference
+   (exact32, only when it leaves int32 headroom); everything else takes
+   the wide loop over the int64 reference. */
+static void decode_err_planes(const uint64_t* const* planes, int32_t n_bits,
+                              int64_t num_vectors, int32_t do_sign,
+                              uint64_t* scratch, const int32_t* exact32,
+                              const int64_t* exact, int64_t* restrict err)
+{
+    int64_t ngroups =
+        transpose_planes(planes, n_bits, num_vectors, scratch);
+    const uint8_t* acc[8];
+    int32_t n_acc = group_rows(scratch, n_bits, ngroups, acc);
+    int32_t sign = do_sign && n_bits > 0;
+    if (exact32 && n_bits <= 16) {
+        err_loop_16(acc[0], acc[1], n_acc > 1, sign, 32 - n_bits, exact32,
+                    err, num_vectors);
+        return;
+    }
+    err_loop_wide(acc, n_acc, sign, 64 - n_bits, exact, err, num_vectors);
+}
+
+/* Integer-statistics twin of decode_err_planes: identical decode and
+   distance expressions, but the distances are reduced on the fly into
+   stats = {sum |d|, count(d != 0), max |d|, sum W|d|, sum W[d != 0]}
+   (see reduce_loop_16) with no distance row ever written.  Distances
+   stay below 2^63 (see err_loop_wide); the caller checks max |d|
+   against the vector count and the weights' bound, so no sum wraps. */
+static void decode_reduce_planes(const uint64_t* const* planes,
+                                 int32_t n_bits, int64_t num_vectors,
+                                 int32_t do_sign, uint64_t* scratch,
+                                 const int32_t* exact32,
+                                 const int64_t* exact,
+                                 const int64_t* wrow, int64_t wmask,
+                                 int64_t* restrict stats)
+{
+    int64_t ngroups =
+        transpose_planes(planes, n_bits, num_vectors, scratch);
+    const uint8_t* acc[8];
+    int32_t n_acc = group_rows(scratch, n_bits, ngroups, acc);
+    int32_t sign = do_sign && n_bits > 0;
+    if (exact32 && n_bits <= 16) {
+        reduce_loop_16(acc[0], acc[1], n_acc > 1, sign, 32 - n_bits,
+                       exact32, num_vectors, wrow, wmask, stats);
+        return;
+    }
+    reduce_loop_wide(acc, n_acc, sign, 64 - n_bits, exact, num_vectors,
+                     wrow, wmask, stats);
+}
+
 void cgp_decode_err(const uint64_t* arena, int32_t W,
                     const int32_t* out_slots, int32_t n_bits,
                     int64_t num_vectors, int32_t do_sign, uint64_t* scratch,
-                    const int32_t* exact, int64_t* restrict err)
+                    const int32_t* exact32, const int64_t* exact,
+                    int64_t* restrict err)
 {
-    const uint64_t* planes[32];
+    const uint64_t* planes[ENGINE_MAX_BITS];
     for (int32_t j = 0; j < n_bits; ++j)
         planes[j] = arena + (size_t)out_slots[j] * W;
     decode_err_planes(planes, n_bits, num_vectors, do_sign, scratch,
-                      exact, err);
+                      exact32, exact, err);
 }
 
 void cgp_decode_reduce(const uint64_t* arena, int32_t W,
                        const int32_t* out_slots, int32_t n_bits,
                        int64_t num_vectors, int32_t do_sign,
-                       uint64_t* scratch, const int32_t* exact,
-                       const int64_t* wrow, int64_t wmask,
-                       int64_t* restrict stats)
+                       uint64_t* scratch, const int32_t* exact32,
+                       const int64_t* exact, const int64_t* wrow,
+                       int64_t wmask, int64_t* restrict stats)
 {
-    const uint64_t* planes[32];
+    const uint64_t* planes[ENGINE_MAX_BITS];
     for (int32_t j = 0; j < n_bits; ++j)
         planes[j] = arena + (size_t)out_slots[j] * W;
     decode_reduce_planes(planes, n_bits, num_vectors, do_sign, scratch,
-                         exact, wrow, wmask, stats);
+                         exact32, exact, wrow, wmask, stats);
 }
 
 /* One candidate of a batch: execute its program into its lane, then
@@ -573,20 +605,20 @@ static void eval_candidate(const uint64_t* inputs, uint64_t* lane,
                            const int32_t* sb, const int32_t* dst,
                            const int32_t* osl, int32_t n_bits,
                            int64_t num_vectors, int32_t do_sign,
-                           uint64_t* scratch, const int32_t* exact,
-                           const int64_t* wrow, int64_t wmask,
-                           int64_t* err, int64_t* stats)
+                           uint64_t* scratch, const int32_t* exact32,
+                           const int64_t* exact, const int64_t* wrow,
+                           int64_t wmask, int64_t* err, int64_t* stats)
 {
     exec_program(inputs, lane, ni, W, n_ops, ops, sa, sb, dst);
-    const uint64_t* planes[32];
+    const uint64_t* planes[ENGINE_MAX_BITS];
     for (int32_t j = 0; j < n_bits; ++j)
         planes[j] = src_row(inputs, lane, ni, W, osl[j]);
     if (stats)
         decode_reduce_planes(planes, n_bits, num_vectors, do_sign,
-                             scratch, exact, wrow, wmask, stats);
+                             scratch, exact32, exact, wrow, wmask, stats);
     else
         decode_err_planes(planes, n_bits, num_vectors, do_sign, scratch,
-                          exact, err);
+                          exact32, exact, err);
 }
 
 /* Batched evaluation: one call runs n_cand compiled programs over the
@@ -611,8 +643,8 @@ void cgp_eval_batch(const uint64_t* inputs, uint64_t* lanes, int32_t ni,
                     const int32_t* out_slots, int32_t n_bits,
                     int64_t out_stride, int64_t num_vectors,
                     int32_t do_sign, uint64_t* scratch,
-                    int64_t scratch_stride, const int32_t* exact,
-                    const int64_t* wrow, int64_t wmask,
+                    int64_t scratch_stride, const int32_t* exact32,
+                    const int64_t* exact, const int64_t* wrow, int64_t wmask,
                     int64_t* err, int64_t err_stride, int64_t* stats,
                     int32_t nthreads)
 {
@@ -633,7 +665,7 @@ void cgp_eval_batch(const uint64_t* inputs, uint64_t* lanes, int32_t ni,
                            dst + c * prog_stride,
                            out_slots + c * out_stride, n_bits,
                            num_vectors, do_sign,
-                           scratch + c * scratch_stride, exact,
+                           scratch + c * scratch_stride, exact32, exact,
                            wrow, wmask, err + c * err_stride,
                            stats ? stats + ENGINE_STATS * (int64_t)c : 0);
 #endif
@@ -646,7 +678,7 @@ void cgp_eval_batch(const uint64_t* inputs, uint64_t* lanes, int32_t ni,
                            dst + c * prog_stride,
                            out_slots + c * out_stride, n_bits,
                            num_vectors, do_sign,
-                           scratch + c * scratch_stride, exact,
+                           scratch + c * scratch_stride, exact32, exact,
                            wrow, wmask, err + c * err_stride,
                            stats ? stats + ENGINE_STATS * (int64_t)c : 0);
     }
@@ -781,11 +813,11 @@ class NativeLib:
         lib.cgp_decode.argtypes = [_P, _I32, _P, _I32, _I64, _I32, _P, _P]
         lib.cgp_decode_err.restype = None
         lib.cgp_decode_err.argtypes = [
-            _P, _I32, _P, _I32, _I64, _I32, _P, _P, _P
+            _P, _I32, _P, _I32, _I64, _I32, _P, _P, _P, _P
         ]
         lib.cgp_decode_reduce.restype = None
         lib.cgp_decode_reduce.argtypes = [
-            _P, _I32, _P, _I32, _I64, _I32, _P, _P, _P, _I64, _P
+            _P, _I32, _P, _I32, _I64, _I32, _P, _P, _P, _P, _I64, _P
         ]
         lib.cgp_eval_batch.restype = None
         lib.cgp_eval_batch.argtypes = [
@@ -793,7 +825,7 @@ class NativeLib:
             _P, _P, _P, _P, _P, _I64,            # n_ops, slabs, prog_stride
             _P, _I32, _I64,                      # out_slots, n_bits, stride
             _I64, _I32, _P, _I64,                # nvec, sign, scratch+stride
-            _P, _P, _I64,                        # exact, weight row, mask
+            _P, _P, _P, _I64,                    # exact32, exact, weights
             _P, _I64, _P, _I32,                  # err+stride, stats, nt
         ]
         lib.cgp_omp_compiled.restype = _I32
@@ -883,13 +915,20 @@ class NativeLib:
         num_vectors: int,
         signed: bool,
         scratch: np.ndarray,
+        exact32,
         exact: np.ndarray,
         err: np.ndarray,
     ) -> None:
+        """Decode + int64 distance row against the int64 ``exact``.
+
+        ``exact32`` (the reference as int32, or 0) selects the narrow
+        AVX2 loop for buses of at most 16 bits; pass it only when the
+        reference leaves int32 headroom for the subtraction.
+        """
         self._lib.cgp_decode_err(
             self._ptr(buf), words, self._ptr(out_slots), n_bits,
             num_vectors, int(signed), self._ptr(scratch),
-            self._ptr(exact), self._ptr(err),
+            self._ptr(exact32), self._ptr(exact), self._ptr(err),
         )
 
     def decode_reduce(
@@ -901,6 +940,7 @@ class NativeLib:
         num_vectors: int,
         signed: bool,
         scratch: np.ndarray,
+        exact32,
         exact: np.ndarray,
         weight_row: np.ndarray,
         weight_mask: int,
@@ -911,12 +951,13 @@ class NativeLib:
         ``stats`` receives ``(Σ|d|, #{d != 0}, max|d|, Σ W·|d|,
         Σ W·[d != 0])`` with ``W[v] = weight_row[v & weight_mask]``;
         ``weight_mask`` 0 means uniform weights ``weight_row[0]``.
+        ``exact32`` picks the loop as in :meth:`decode_err`.
         """
         self._lib.cgp_decode_reduce(
             self._ptr(buf), words, self._ptr(out_slots), n_bits,
             num_vectors, int(signed), self._ptr(scratch),
-            self._ptr(exact), self._ptr(weight_row), weight_mask,
-            self._ptr(stats),
+            self._ptr(exact32), self._ptr(exact), self._ptr(weight_row),
+            weight_mask, self._ptr(stats),
         )
 
     def eval_batch(
@@ -940,6 +981,7 @@ class NativeLib:
         signed: bool,
         scratch,
         scratch_stride: int,
+        exact32,
         exact,
         err,
         err_stride: int,
@@ -956,7 +998,9 @@ class NativeLib:
         and -1 defers to the library default.  ``lane_stride_rows`` (and
         ``scratch_stride``) may be 0 only on the serial path, where all
         candidates soundly reuse one lane.  ``err`` rows receive int64
-        distances.  A non-zero ``stats`` points at an
+        distances against the int64 ``exact``; ``exact32`` picks the
+        decode loop as in :meth:`decode_err`.  A non-zero ``stats``
+        points at an
         ``(n_cand, 5)`` int64 buffer receiving each
         candidate's ``(Σ|d|, #{d != 0}, max|d|, Σ W·|d|, Σ W·[d != 0])``
         over the weights ``weight_row``/``weight_mask`` (see
@@ -972,8 +1016,9 @@ class NativeLib:
             self._ptr(src_a), self._ptr(src_b), self._ptr(dst),
             prog_stride, self._ptr(out_slots), n_bits, out_stride,
             num_vectors, int(signed), self._ptr(scratch), scratch_stride,
-            self._ptr(exact), self._ptr(weight_row), weight_mask,
-            self._ptr(err), err_stride, self._ptr(stats), nthreads,
+            self._ptr(exact32), self._ptr(exact), self._ptr(weight_row),
+            weight_mask, self._ptr(err), err_stride, self._ptr(stats),
+            nthreads,
         )
 
     def omp_compiled(self) -> bool:

@@ -339,8 +339,8 @@ class ErrorMetric:
         ------
         ValueError
             For ``mred`` (no integer form), or when ``max|d|`` exceeds
-            what the weights can sum exactly (the sums may have
-            wrapped).
+            what the sums can hold exactly — ``ΣW·max|d|`` or
+            ``N·max|d|`` reaching ``2**63`` (they may have wrapped).
         """
         if self._exact is None:
             raise ValueError(f"metric {self.name!r} has no integer form")

@@ -129,8 +129,10 @@ class IntegerWeights:
         row: One period of the counts (``int64``).
         total: ``ΣW`` over all ``num_vectors`` vectors, a power of two.
         num_vectors: Length of the weighted vector space.
-        max_distance: Largest ``|d|`` whose weighted sum provably fits
-            int64; larger distances raise in :meth:`check`.
+        max_distance: Largest ``|d|`` whose sums provably fit int64:
+            the weighted ones (``ΣW·|d|``) and the plain ``Σ|d|`` over
+            ``num_vectors`` vectors.  Larger distances raise in
+            :meth:`check`.
         owner: Names the objective in error messages.
     """
 
@@ -142,7 +144,11 @@ class IntegerWeights:
         self.row = np.ascontiguousarray(row, dtype=np.int64)
         self.total = int(total)
         self.num_vectors = int(num_vectors)
-        self.max_distance = (_INT64_LIMIT - 1) // self.total
+        # Weights that quantize exactly may total less than the vector
+        # count, so the plain sum needs its own bound.
+        self.max_distance = (_INT64_LIMIT - 1) // max(
+            self.total, self.num_vectors
+        )
         self.owner = owner or "weights"
 
     @classmethod
@@ -215,13 +221,16 @@ class IntegerWeights:
         return np.tile(self.row / self.total, self.num_vectors // self.period)
 
     def check(self, max_distance: int) -> None:
-        """Raise unless ``|d| <= max_distance`` sums exactly in int64."""
+        """Raise unless ``|d| <= max_distance`` sums exactly in int64.
+
+        Covers both ``ΣW·|d| <= ΣW·max|d|`` and ``Σ|d| <= N·max|d|``.
+        """
         if max_distance > self.max_distance:
             raise ValueError(
                 f"{self.owner}: error distance {max_distance} exceeds "
-                f"{self.max_distance}, the largest whose weighted sum over "
-                f"a weight total of 2**{self.total.bit_length() - 1} fits "
-                "int64"
+                f"{self.max_distance}, the largest whose sums over "
+                f"{self.num_vectors} vectors and a weight total of "
+                f"2**{self.total.bit_length() - 1} fit int64"
             )
 
     def weighted_sum(self, values: np.ndarray) -> int:

@@ -96,6 +96,15 @@ ENGINE_BATCH_SIZE = REGISTRY.histogram(
     "repro_engine_batch_size",
     "Lanes per batched kernel dispatch.",
     shift=0, buckets=14, scale=1.0)
+#: Closed vocabulary of why an evaluation ran on the interpreter: a gate
+#: function without an engine opcode, an output bus wider than the
+#: decode's 62 bits, or a reference whose magnitude reaches 2**62.
+FALLBACK_REASONS = ("no-opcode", "output-width", "reference-range")
+ENGINE_FALLBACK = REGISTRY.counter(
+    "repro_engine_fallback_total",
+    "Evaluations an engine-backed evaluator served on the interpreter, "
+    "by reason.",
+    label="reason", values=FALLBACK_REASONS)
 ENGINE_BACKEND = REGISTRY.gauge(
     "repro_engine_backend_active",
     "1 when an evaluator with this backend has been constructed.",

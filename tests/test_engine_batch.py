@@ -245,7 +245,7 @@ def test_weighted_stats_equal_int64_dot_of_materialized_distances(
     for ch in brood:
         n_ops = rt.compile(ch.genes)
         rt.execute(n_ops)
-        d = rt.error(obj.signed, obj._exact32).copy()
+        d = rt.error(obj.signed).copy()
         assert d.dtype == np.int64
         want = [
             int(d.sum()), int(np.count_nonzero(d)), int(d.max()),

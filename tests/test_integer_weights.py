@@ -154,6 +154,24 @@ def test_distance_past_the_bound_raises_instead_of_wrapping(backend):
                               obj.normalizer)
 
 
+def test_plain_sum_bound_covers_totals_below_the_vector_count():
+    # One-hot weights quantize exactly at any total, so a bound of 2**60
+    # leaves ΣW = 4 over 256 vectors: ΣW·max|d| would allow distances up
+    # to 2**61, but the plain Σ|d| over 256 vectors wraps from 2**55 on.
+    onehot = np.zeros(256)
+    onehot[7] = 1.0
+    w = IntegerWeights.quantize(onehot, 256, 1 << 60)
+    assert w.total == 4 < w.num_vectors
+    limit = ((1 << 63) - 1) // 256
+    assert w.max_distance == limit
+    med = get_metric("med")
+    assert med.from_stats([256 * limit, 256, limit, 0, 0], w, 1.0) == float(
+        limit
+    )
+    with pytest.raises(ValueError, match="over 256 vectors"):
+        med.from_stats([0, 256, limit + 1, 0, 0], w, 1.0)
+
+
 def test_mred_has_no_integer_form():
     obj = component_objective("adder", 3, uniform(3), metric="mred")
     assert not obj.metric.integer

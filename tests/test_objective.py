@@ -30,9 +30,15 @@ from repro.core import (
     netlist_to_chromosome,
     params_for_netlist,
 )
+from repro.core.chromosome import CGPParams, Chromosome
 from repro.core.components import COMPONENTS
 from repro.core.mutation import mutate
-from repro.engine import CompiledObjective, native_available
+from repro.core.objective import SampledObjective, SampleSpec
+from repro.engine import (
+    CompiledObjective,
+    CompiledSampledObjective,
+    native_available,
+)
 from repro.errors import (
     get_metric,
     mean_error_distance,
@@ -43,6 +49,8 @@ from repro.errors import (
     worst_case_error,
 )
 from repro.errors.distributions import discretized_half_normal
+from repro.obs import catalog as obs_catalog
+from repro.obs.metrics import enabled as obs_enabled
 
 BACKENDS = ["numpy"] + (["native"] if native_available() else [])
 
@@ -359,16 +367,101 @@ def test_cache_key_distinguishes_objectives(rng):
     assert len(sigs) == len(evaluators)
 
 
-def test_wide_reference_falls_back_to_interpreted(rng):
-    """References beyond int32 decode range use the interpreted path."""
+def test_wide_reference_runs_on_the_wide_decode(rng):
+    """A reference far past int32 runs compiled, through the int64 loop.
+
+    The 5-bit bus alone would take the narrow loops, but a reference
+    offset by 2**40 leaves no int32 headroom, so both backends decode it
+    in int64 — and still equal the interpreter."""
     chrom = _seed_chromosome("adder", 4, False)
     ref = adder_objective(4, uniform(4)).reference + (1 << 40)
     base = CircuitObjective(8, ref, signed=False)
-    eng = CompiledObjective(CircuitObjective(8, ref, signed=False))
-    assert eng._runtime(chrom.params) is None
+    mutants = []
     for _ in range(5):
         chrom, _ = mutate(chrom, 4, rng)
-        assert eng.evaluate(chrom, 0.5) == base.evaluate(chrom, 0.5)
+        mutants.append(chrom)
+    want = [base.evaluate(ch, 0.5) for ch in mutants]
+    for backend in BACKENDS:
+        eng = CompiledObjective(
+            CircuitObjective(8, ref, signed=False), backend=backend,
+            cache_entries=0,
+        )
+        rt = eng._runtime(chrom.params)
+        assert rt is not None and rt.exact32 is None
+        assert [eng.evaluate(ch, 0.5) for ch in mutants] == want
+        assert eng.evaluate_batch(mutants, 0.5) == want
+        for ch in mutants:
+            assert np.array_equal(eng.truth_table(ch), base.truth_table(ch))
+        stats = eng.stats()
+        assert stats["batch"]["calls"] > 0
+        assert stats["fallback"] == []
+
+
+def _assert_counted_fallback(engine, interpreted, chromosomes, reason):
+    """``engine`` serves every evaluation interpreted, counted by reason."""
+    counter = obs_catalog.ENGINE_FALLBACK.labels(reason)
+    before = counter.value
+    want = [interpreted.evaluate(ch, 0.5) for ch in chromosomes]
+    assert [engine.evaluate(ch, 0.5) for ch in chromosomes] == want
+    assert engine.evaluate_batch(chromosomes, 0.5) == want
+    assert engine._runtime(chromosomes[0].params) is None
+    stats = engine.stats()
+    assert stats["fallback"] == [reason]
+    assert stats["batch"]["calls"] == 0
+    if obs_enabled():
+        assert counter.value - before == 2 * len(chromosomes)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_reference_reaching_2_62_stays_interpreted_and_is_counted(
+    backend, rng
+):
+    # |reference| >= 2**62 could make ref - value wrap int64, so the
+    # engine refuses it; a sampled objective (float estimates, no
+    # integer weights) still evaluates it on the interpreter.
+    comp = COMPONENTS["adder"]
+    spec = SampleSpec(samples=64, replicates=2, seed=5)
+
+    def build():
+        return SampledObjective(
+            8, lambda v: comp.reference_at(4, False, v) + (1 << 62),
+            uniform(4), spec, component="adder",
+        )
+
+    chrom = _seed_chromosome("adder", 4, False)
+    mutants = [mutate(chrom, 4, rng)[0] for _ in range(3)]
+    _assert_counted_fallback(
+        CompiledSampledObjective(build(), backend=backend), build(),
+        [chrom] + mutants, "reference-range",
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_bus_past_62_bits_stays_interpreted_and_is_counted(backend):
+    obj = CircuitObjective(2, [0, 1, 2, 3], weights=[1, 2, 3, 4])
+    params = CGPParams(num_inputs=2, num_outputs=63, columns=1,
+                       functions=("CONST0",))
+    wide = Chromosome(params, [0, 0, 0] + [2] * 63)
+    _assert_counted_fallback(
+        CompiledObjective(obj, backend=backend), obj, [wide],
+        "output-width",
+    )
+
+
+def test_gate_without_opcode_stays_interpreted_and_is_counted(monkeypatch):
+    # Every registered gate has an opcode today; a function table the
+    # engine cannot lower must still fall back, and be counted.
+    from repro.engine import evaluator
+
+    def no_opcode(functions):
+        raise KeyError("no engine opcode")
+
+    monkeypatch.setattr(evaluator, "function_opcode_table", no_opcode)
+    obj = adder_objective(4, uniform(4))
+    chrom = _seed_chromosome("adder", 4, False)
+    _assert_counted_fallback(
+        CompiledObjective(obj, backend="numpy"), obj, [chrom], "no-opcode"
+    )
 
 
 # ----------------------------------------------------------------------

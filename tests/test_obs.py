@@ -323,9 +323,12 @@ def test_engine_stats_shape_and_registry_deltas():
     # The legacy dict shapes are pinned bit-for-bit: same keys, values
     # sourced from the per-instance counters exactly as before.
     assert set(stats) == {
-        "backend", "cache", "fast_reduce", "runtimes", "batch", "omp",
+        "backend", "cache", "fast_reduce", "runtimes", "fallback", "batch",
+        "omp",
     }
     assert set(stats["batch"]) == {"calls", "evals", "dedup"}
+    # Every evaluation ran compiled: no fallback reason to list.
+    assert stats["fallback"] == []
     assert set(stats["cache"]) == {
         "entries", "max_entries", "hits", "misses", "hit_rate",
     }
