@@ -7,10 +7,13 @@ Measures, for one operand width:
   ``MultiplierFitness`` path vs. the engine with caching disabled (every
   evaluation compiles + simulates + decodes from scratch) and vs. the
   engine's cache-hit path;
-* **brood batch dispatch** — a realistic (1 + lambda) brood evaluated
-  through ``evaluate_batch`` vs. one ``evaluate`` call per candidate,
-  with the OpenMP team enabled and forced serial (``REPRO_OMP=0``),
-  asserting all four paths return identical results;
+* **brood schedules** — ``evaluate_batch`` over pre-drawn (1 + lambda)
+  broods under both brood schedules, forced through each runtime (the
+  fused OpenMP call and the serial chunked loop), at 32, 64, 128, 256
+  and 1024 stimulus words per plane: mean, median and CPU ms per brood
+  for each, the schedule the engine's size rule picks, and the sizes
+  from which the threaded call won; every schedule must return the
+  same results as one ``evaluate`` per candidate;
 * **end-to-end evolution** — ``evolve()`` wall time and evaluations/s
   under both evaluators with the same RNG seed, asserting the
   ``(wmed, area)`` trajectories and final errors are identical (the
@@ -58,6 +61,13 @@ sys.path.insert(
 )
 
 from repro.circuits.generators import build_array_multiplier  # noqa: E402
+from repro.core.components import (  # noqa: E402
+    COMPONENTS,
+    component_objective,
+    sampled_component_objective,
+)
+from repro.core.mutation import mutate  # noqa: E402
+from repro.core.objective import SampleSpec  # noqa: E402
 from repro.core.evolution import EvolutionConfig, evolve  # noqa: E402
 from repro.core.fitness import MultiplierFitness  # noqa: E402
 from repro.core.seeding import (  # noqa: E402
@@ -66,8 +76,12 @@ from repro.core.seeding import (  # noqa: E402
 )
 from repro.engine import (  # noqa: E402
     CompiledMultiplierFitness,
+    CompiledObjective,
+    CompiledSampledObjective,
     native_available,
 )
+from repro.engine import evaluator as engine_evaluator  # noqa: E402
+from repro.engine.native import omp_threads  # noqa: E402
 from repro.errors.distributions import (  # noqa: E402
     distribution_from_spec,
     uniform,
@@ -132,69 +146,124 @@ def bench_single_eval(width: int, reps: int, rounds: int) -> dict:
     }
 
 
-def bench_brood(width: int, lam: int, reps: int, rounds: int) -> dict:
-    """Batched vs per-candidate dispatch on one realistic brood.
+def _d2_multiplier(width: int, samples: int = 0):
+    """D2 multiplier objective, cache off: exhaustive, or sampled with
+    ``samples`` x 4 vectors."""
+    dist = distribution_from_spec("d2", width, False)
+    if samples:
+        return CompiledSampledObjective(
+            sampled_component_objective(
+                "multiplier", width, dist, SampleSpec(samples, 4, seed=0)
+            ),
+            cache_entries=0,
+        )
+    return CompiledObjective(
+        component_objective("multiplier", width, dist), cache_entries=0
+    )
 
-    Builds ``lam`` mutants of the exact seed (a fixed RNG, so the brood
-    is identical across runs/commits), then times: sequential
-    ``evaluate`` per candidate, ``evaluate_batch`` with the OpenMP knob
-    forced serial (``REPRO_OMP=0``), and ``evaluate_batch`` under the
-    default knob.  Caching is disabled so the numbers measure raw
-    dispatch, and all paths are checked for identical results.
+
+#: The brood-schedule sweep: (stimulus words per plane, label, width,
+#: samples per replicate or 0 for exhaustive).  Each size is the
+#: objective a real run evaluates — perfbench's sampled width-16 and
+#: width-6 library workloads below the size rule, the paper's width 8
+#: above it.
+SCHEDULE_SWEEP = (
+    (32, "sampled w16 512x4", 16, 512),
+    (64, "exhaustive w6", 6, 0),
+    (128, "sampled w16 2048x4", 16, 2048),
+    (256, "exhaustive w7", 7, 0),
+    (1024, "exhaustive w8", 8, 0),
+)
+#: Pre-drawn broods per size, and passes over them per schedule.
+SCHEDULE_BROODS = 200
+SCHEDULE_PASSES = 3
+
+
+def _time_schedule(obj, rt, threads: int, broods, threshold: float):
+    """(results, per-brood wall ms, CPU ms per brood) with the runtime's
+    schedule forced to a team of ``threads`` (1 = serial)."""
+    rt.threads = threads
+    results, wall = [], []
+    c0 = time.process_time_ns()
+    for brood in broods:
+        t0 = time.perf_counter_ns()
+        results.append(obj.evaluate_batch(brood, threshold))
+        wall.append((time.perf_counter_ns() - t0) / 1e6)
+    cpu = (time.process_time_ns() - c0) / 1e6 / len(broods)
+    return results, wall, cpu
+
+
+def bench_schedules(n_broods: int, passes: int, lam: int) -> dict:
+    """Both brood schedules at each size of :data:`SCHEDULE_SWEEP`.
+
+    ``n_broods`` broods of ``lam`` children (5 mutations each, the
+    parent drifting to each brood's first child) are drawn once per
+    size from a fixed RNG, then evaluated ``passes`` times under each
+    schedule, alternating which runs first, with the phenotype cache
+    off.  Per schedule: mean and median wall ms per brood over all
+    passes, and CPU ms per brood (median pass).  ``rule`` is the
+    schedule the engine picks at that size (a team, the main thread, a
+    process that is not a pool child); ``threaded_won`` whether the
+    fused call's mean beat the serial loop's.
     """
-    from repro.core.mutation import mutate
-
-    net = build_array_multiplier(width)
-    params = params_for_netlist(net, extra_columns=8)
-    seed_chrom = netlist_to_chromosome(net, params)
-    dist = uniform(width, signed=False)
+    team = omp_threads()
     threshold = 0.01
-    rng = np.random.default_rng(5)
-    brood = []
-    parent = seed_chrom
-    for _ in range(lam):
-        parent, _ = mutate(parent, 5, rng)
-        brood.append(parent)
-
-    seq_obj = CompiledMultiplierFitness(width, dist, cache_entries=0)
-    batch_obj = CompiledMultiplierFitness(width, dist, cache_entries=0)
-
-    def run_seq():
-        return [seq_obj.evaluate(c, threshold) for c in brood]
-
-    def run_batch():
-        return batch_obj.evaluate_batch(brood, threshold)
-
-    omp_prev = os.environ.get("REPRO_OMP")
-
-    def set_omp(value):
-        if value is None:
-            os.environ.pop("REPRO_OMP", None)
-        else:
-            os.environ["REPRO_OMP"] = value
-
-    try:
-        seq_ms = _time_ms(run_seq, reps, rounds)
-        set_omp("0")
-        serial_ms = _time_ms(run_batch, reps, rounds)
-        serial_res = run_batch()
-        set_omp(None)
-        omp_ms = _time_ms(run_batch, reps, rounds)
-        omp_res = run_batch()
-    finally:
-        set_omp(omp_prev)
-    identical = run_seq() == serial_res == omp_res
-
-    def evals_per_s(ms):
-        return round(lam / (ms / 1e3), 1)
-
+    sizes = []
+    identical = True
+    for words, label, width, samples in SCHEDULE_SWEEP:
+        obj = _d2_multiplier(width, samples)
+        net = COMPONENTS["multiplier"].build_seed(width, False)
+        parent = netlist_to_chromosome(
+            net, params_for_netlist(net, extra_columns=8)
+        )
+        rng = np.random.default_rng(5)
+        broods = []
+        for _ in range(n_broods):
+            brood = [mutate(parent, 5, rng)[0] for _ in range(lam)]
+            broods.append(brood)
+            parent = brood[0]
+        reference = [
+            [obj.evaluate(c, threshold) for c in brood]
+            for brood in broods[: min(10, n_broods)]
+        ]
+        rt = obj._runtime(parent.params)
+        assert rt.arena.words == words, (label, rt.arena.words)
+        rule = "threaded" if rt.threads > 1 else "serial"
+        schedules = {"serial": 1}
+        if team > 1:
+            schedules["threaded"] = team
+        walls = {name: [] for name in schedules}
+        cpus = {name: [] for name in schedules}
+        for p in range(passes):
+            order = list(schedules)
+            if p % 2:
+                order.reverse()
+            for name in order:
+                results, wall, cpu = _time_schedule(
+                    obj, rt, schedules[name], broods, threshold
+                )
+                walls[name].extend(wall)
+                cpus[name].append(cpu)
+                identical &= results[: len(reference)] == reference
+        entry = {"words": words, "objective": label, "rule": rule}
+        for name in schedules:
+            entry[name] = {
+                "mean_ms": round(statistics.fmean(walls[name]), 4),
+                "p50_ms": round(statistics.median(walls[name]), 4),
+                "cpu_ms": round(statistics.median(cpus[name]), 4),
+            }
+        if team > 1:
+            entry["threaded_won"] = (
+                entry["threaded"]["mean_ms"] < entry["serial"]["mean_ms"]
+            )
+        sizes.append(entry)
     return {
-        "width": width,
         "lam": lam,
-        "sequential_evals_per_s": evals_per_s(seq_ms),
-        "batch_serial_evals_per_s": evals_per_s(serial_ms),
-        "batch_omp_evals_per_s": evals_per_s(omp_ms),
-        "batch_speedup_vs_sequential": round(seq_ms / serial_ms, 2),
+        "broods": n_broods,
+        "passes": passes,
+        "omp_threads": team,
+        "threaded_min_words": engine_evaluator._THREADED_MIN_WORDS,
+        "sizes": sizes,
         "bit_identical": identical,
     }
 
@@ -340,7 +409,7 @@ def main(argv=None) -> int:
     ap.add_argument("--generations", type=int, default=300)
     ap.add_argument(
         "--lam", type=int, default=4,
-        help="brood size for the batch-dispatch section",
+        help="brood size for the brood-schedule section",
     )
     ap.add_argument("--reps", type=int, default=30)
     ap.add_argument("--rounds", type=int, default=5)
@@ -371,11 +440,13 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=DEFAULT_OUT)
     args = ap.parse_args(argv)
 
+    broods, passes = SCHEDULE_BROODS, SCHEDULE_PASSES
     if args.smoke:
         args.width = min(args.width, 6)
         args.generations = min(args.generations, 30)
         args.reps = min(args.reps, 10)
         args.rounds = min(args.rounds, 3)
+        broods, passes = 40, 2
         args.sampled_generations = min(args.sampled_generations, 30)
         args.sampled_max_s = min(args.sampled_max_s, 120.0)
         if args.min_speedup is None:
@@ -396,14 +467,30 @@ def main(argv=None) -> int:
         f" | cached {single['engine_cached_ms']} ms"
         f" ({single['cached_speedup']}x)"
     )
-    brood = bench_brood(args.width, args.lam, args.reps, args.rounds)
-    print(
-        f"brood lam={brood['lam']}:"
-        f" sequential {brood['sequential_evals_per_s']} evals/s"
-        f" | batch serial {brood['batch_serial_evals_per_s']}"
-        f" | batch omp {brood['batch_omp_evals_per_s']}"
-        f" | identical: {brood['bit_identical']}"
-    )
+    # Both schedules exist only on the native backend.
+    schedules = None
+    if backend == "native":
+        schedules = bench_schedules(broods, passes, args.lam)
+        print(
+            f"brood schedules lam={schedules['lam']}"
+            f" ({schedules['broods']} broods x {schedules['passes']}"
+            f" passes, team {schedules['omp_threads']}, threaded from"
+            f" {schedules['threaded_min_words']} words):"
+        )
+        for size in schedules["sizes"]:
+            line = (
+                f"  {size['words']:5d} words ({size['objective']}):"
+                f" rule {size['rule']}"
+            )
+            for name in ("serial", "threaded"):
+                if name in size:
+                    t = size[name]
+                    line += (
+                        f" | {name} mean {t['mean_ms']} p50 {t['p50_ms']}"
+                        f" cpu {t['cpu_ms']} ms"
+                    )
+            print(line)
+        print(f"  identical: {schedules['bit_identical']}")
     evo = bench_evolve(args.width, args.generations)
     evo_d2 = bench_evolve(
         args.width, args.generations,
@@ -454,11 +541,10 @@ def main(argv=None) -> int:
             "generations": args.generations,
             "lam": args.lam,
             "smoke": args.smoke,
-            "repro_omp": os.environ.get("REPRO_OMP", ""),
         },
         "backend": backend,
         "single_eval": single,
-        "brood_batch": brood,
+        "brood_schedules": schedules,
         "evolve": evo,
         "evolve_d2": evo_d2,
         "sampled_evolve": w16,
@@ -472,7 +558,7 @@ def main(argv=None) -> int:
 
     if (
         not single["bit_identical"]
-        or not brood["bit_identical"]
+        or (schedules is not None and not schedules["bit_identical"])
         or not all(
             section["trajectories_identical"]
             and section["final_errors_identical"]

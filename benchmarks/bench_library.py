@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Benchmark the design-library subsystem: build throughput + query latency.
 
-Measures, over a small multiplier+adder grid at width 4:
+Measures, over a 16-cell multiplier+adder grid at width 4 (two metrics,
+four error targets):
 
 * **build throughput** — grid cells evolved/characterized/admitted per
   second through :func:`repro.library.build_library` (one process, the
@@ -18,7 +19,15 @@ Measures, over a small multiplier+adder grid at width 4:
   merged store must be **row-identical** to the single-process build
   (every column of every design row) — that equivalence is a hard gate,
   exactly like the resume no-op gate.  Merge throughput (rows offered
-  per second) is recorded alongside the build speedups.
+  per second) is recorded alongside the build speedups;
+* **process pool** — the paper's setting, a width-8 D2 multiplier grid
+  of four error targets, built with the default process pool, with
+  ``max_workers=1`` and with two worker threads (alternating the
+  order).  All three stores must be row-identical; on full runs on a
+  host with more than one core the pool must also be faster than one
+  process (the cores belong to the pool's runs, not to an OpenMP team
+  inside each); under ``--smoke`` or on one core that is only reported
+  (``pool.gated`` is false).  The two-thread build is only reported.
 
 Results go to ``BENCH_library.json`` at the repo root (``--out``
 overrides).  Exits non-zero when any integrity check fails or when
@@ -62,6 +71,9 @@ from repro.library import (  # noqa: E402
 DEFAULT_OUT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_library.json"
 )
+#: Generations per cell of the width-8 pool section, and builds each way.
+POOL_GENERATIONS = 2000
+POOL_ROUNDS = 2
 
 
 def bench_build(spec: BuildSpec, db_path: str) -> dict:
@@ -170,6 +182,66 @@ def bench_sharded(spec: BuildSpec, single_db: str, tmp: str) -> dict:
     }
 
 
+#: The pool section's builds: name -> (max_workers, executor).  In the
+#: last, each evaluator's owner is a worker thread, which keeps the
+#: serial brood schedule like a pool child does.
+POOL_BUILDS = {
+    "pool": (None, "process"),
+    "one_process": (1, "process"),
+    "two_threads": (2, "thread"),
+}
+
+
+def bench_pool(generations: int, rounds: int) -> dict:
+    """Width-8 D2 grid: default process pool, one process, two threads.
+
+    Each of ``rounds`` rounds builds the grid once each way
+    (:data:`POOL_BUILDS`) into a fresh store, alternating the order;
+    times are wall seconds for :func:`build_library`.
+    """
+    spec = BuildSpec(
+        components=("multiplier",),
+        metrics=("wmed",),
+        widths=(8,),
+        thresholds_percent=(0.5, 1.0, 2.0, 5.0),
+        dist="d2",
+        signed=False,
+        generations=generations,
+        seed=5,
+    )
+    times = {name: [] for name in POOL_BUILDS}
+    rows = {}
+    for r in range(rounds):
+        order = list(POOL_BUILDS)
+        if r % 2:
+            order.reverse()
+        for name in order:
+            workers, executor = POOL_BUILDS[name]
+            with tempfile.TemporaryDirectory() as tmp:
+                store = DesignStore(os.path.join(tmp, "grid.sqlite"))
+                t0 = time.perf_counter()
+                build_library(
+                    store, spec, max_workers=workers, executor=executor
+                )
+                times[name].append(round(time.perf_counter() - t0, 3))
+                rows.setdefault(name, store.select())
+    pool_s = statistics.median(times["pool"])
+    one_s = statistics.median(times["one_process"])
+    return {
+        "width": 8,
+        "dist": "d2",
+        "cells": len(spec.thresholds_percent),
+        "generations": generations,
+        "workers": os.cpu_count(),
+        "pool_s": times["pool"],
+        "one_process_s": times["one_process"],
+        "two_threads_s": times["two_threads"],
+        "pool_over_one_process": round(pool_s / one_s, 3),
+        "pool_beats_one_process": pool_s < one_s,
+        "identical": all(r == rows["one_process"] for r in rows.values()),
+    }
+
+
 def check_integrity(db_path: str, spec: BuildSpec, width: int) -> bool:
     """Stored record == fresh characterization of its chromosome text."""
     store = DesignStore(db_path)
@@ -204,16 +276,18 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=DEFAULT_OUT)
     args = ap.parse_args(argv)
 
+    pool_generations, pool_rounds = POOL_GENERATIONS, POOL_ROUNDS
     if args.smoke:
         args.generations = min(args.generations, 40)
         args.reps = min(args.reps, 20)
         args.rounds = min(args.rounds, 3)
+        pool_generations, pool_rounds = 200, 1
 
     spec = BuildSpec(
         components=("multiplier", "adder"),
-        metrics=("wmed",),
+        metrics=("wmed", "med"),
         widths=(args.width,),
-        thresholds_percent=(0.5, 2.0, 5.0),
+        thresholds_percent=(0.5, 1.0, 2.0, 5.0),
         dist="uniform",
         signed=False,
         generations=args.generations,
@@ -245,6 +319,17 @@ def main(argv=None) -> int:
                 f"({run['merge_rows_per_s']} rows/s), "
                 f"row-identical: {run['merged_identical']}"
             )
+    pool = bench_pool(pool_generations, pool_rounds)
+    # A one-core host's default pool has one worker, which cannot beat
+    # the in-process build; there, and under --smoke, only report it.
+    pool["gated"] = not args.smoke and (os.cpu_count() or 1) > 1
+    print(
+        f"pool w=8 d2 {pool['cells']} cells x {pool['generations']} gens:"
+        f" default pool {pool['pool_s']} s | one process"
+        f" {pool['one_process_s']} s (ratio {pool['pool_over_one_process']})"
+        f" | two threads {pool['two_threads_s']} s"
+        f" | row-identical: {pool['identical']}"
+    )
 
     record = {
         "benchmark": "library",
@@ -258,6 +343,7 @@ def main(argv=None) -> int:
         "query": query,
         "recharacterization_identical": intact,
         "sharded": sharded,
+        "pool": pool,
     }
     out = os.path.abspath(args.out)
     with open(out, "w") as fh:
@@ -275,6 +361,15 @@ def main(argv=None) -> int:
         return 1
     if not sharded["merged_identical"]:
         print("FAIL: sharded+merged store diverges from single-process build")
+        return 1
+    if not pool["identical"]:
+        print("FAIL: a pooled build diverges from the one-process build")
+        return 1
+    if pool["gated"] and not pool["pool_beats_one_process"]:
+        print(
+            f"FAIL: the default pool took {pool['pool_over_one_process']}x "
+            f"the one-process build time"
+        )
         return 1
     if args.max_query_us is not None and query["query_us"] > args.max_query_us:
         print(

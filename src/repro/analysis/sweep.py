@@ -24,12 +24,14 @@ All route candidate evaluation through the compiled engine
 interpreted objective (results are bit-identical either way).  Inside
 every run, each generation's brood is evaluated through the engine's
 batched path (``CompiledObjective.evaluate_batch``: phenotype dedupe,
-cache lookup, then one ``cgp_eval_batch`` dispatch per brood).  Two
-levels of parallelism therefore exist and compose: the sweep fans runs
-out over *processes/threads* here (one evaluator per worker — arenas
-are single-owner), while ``REPRO_OMP`` controls the *intra-brood*
-OpenMP team inside one native dispatch.  When fanning out sweeps,
-leave ``REPRO_OMP`` at/below 1 so the levels don't oversubscribe cores.
+cache lookup, then the ``cgp_eval_batch`` dispatch).  The sweep fans
+runs out over *processes/threads* here (one evaluator per worker —
+arenas are single-owner); that is the parallel axis.  An evaluator
+sends a brood to its *intra-brood* OpenMP team only in the main thread
+of a process that is not a ``multiprocessing`` child, and only for
+stimuli large enough to pay the team's hand-off (see
+:mod:`repro.engine.evaluator`), so pool workers and worker threads run
+serial and the two levels never oversubscribe the cores.
 """
 
 from __future__ import annotations
@@ -618,8 +620,10 @@ def _front_task(
     executors.  Each task builds its own objective: engine arenas are
     single-owner (``BufferArena.assert_owner``), and process workers
     cannot share them anyway.  The objective's batched brood dispatch
-    (and its ``REPRO_OMP`` team, if enabled) lives entirely inside this
-    worker, so per-task results never depend on worker count.
+    lives entirely inside this worker — serial in a pool worker, on the
+    OpenMP team only for large stimuli in a main thread — and both
+    schedules give identical results, so per-task results never depend
+    on worker count.
     """
     (
         seed_netlist, width, design_dist, level, eval_dists,

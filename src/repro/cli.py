@@ -6,11 +6,15 @@ Subcommands:
   component (``--component
   {multiplier,adder,mac,divider,subtractor,barrel-shifter}``,
   ``--metric {wmed,med,mred,error-rate,worst-case}``) and write the
-  result as a CGP chromosome string (plus a summary line),
-* ``characterize`` — electrical + error report for a saved chromosome;
-  the component kind and operand width are detected from the chromosome
-  interface when the shape is unambiguous (``--component`` is required
-  when several components share it, e.g. adder/subtractor),
+  result as a CGP chromosome string (plus a summary line); an
+  ``--output`` file starts with a ``#`` line recording the component,
+  signedness, distribution and metric,
+* ``characterize`` — electrical + error report for a saved chromosome,
+  under the objective its ``#`` line records (flags that contradict it
+  are refused); for files without that line the component kind and
+  operand width are detected from the chromosome interface when the
+  shape is unambiguous (``--component`` is required when several
+  components share it, e.g. adder/subtractor),
 * ``export-verilog`` — emit structural Verilog for a saved chromosome,
 * ``library`` — the persistent design library
   (:mod:`repro.library`): ``library build`` runs or resumes a grid
@@ -131,7 +135,12 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     text = chromosome_to_string(result.best)
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(
+                _record_line(
+                    comp.name, signed, args.dist, evaluator.metric.name
+                )
+                + text + "\n"
+            )
     else:
         print(text)
     best = result.best_eval
@@ -141,12 +150,13 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             f" ci95=[{100 * best.ci_low:.4f}%, {100 * best.ci_high:.4f}%]"
             f" samples={sample.samples}x{sample.replicates}"
         )
-    # The backend that served the run, and why any evaluation fell back
-    # to the interpreter (--engine off has no engine at all).
+    # The backend and brood schedule that served the run, and why any
+    # evaluation fell back to the interpreter (--engine off has no
+    # engine at all).
     engine = "off"
     if hasattr(evaluator, "stats"):
         stats = evaluator.stats()
-        engine = stats["backend"]
+        engine = f"{stats['backend']}/{stats['omp']['schedule']}"
         if stats["fallback"]:
             engine += f" fallback={','.join(stats['fallback'])}"
     print(
@@ -159,9 +169,47 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _record_line(component: str, signed: bool, dist: str, metric: str) -> str:
+    """The ``#`` line ``evolve --output`` writes above the chromosome:
+    what ``characterize`` needs to rebuild the objective it ran under."""
+    return (
+        f"# component={component} "
+        f"signedness={'signed' if signed else 'unsigned'} "
+        f"dist={''.join(dist.split()).lower()} metric={metric}\n"
+    )
+
+
 def _load_chromosome(path: str):
+    """The chromosome saved at ``path`` and the ``key=value`` fields of
+    its ``#`` lines (empty for files written without them)."""
+    record = {}
+    body = []
     with open(path) as fh:
-        return chromosome_from_string(fh.read())
+        for line in fh:
+            if line.startswith("#"):
+                for field in line[1:].split():
+                    key, _, value = field.partition("=")
+                    record[key] = value
+            else:
+                body.append(line)
+    return chromosome_from_string("".join(body)), record
+
+
+def _contradiction(path: str, flag: str, given, key: str, recorded):
+    return SystemExit(
+        f"{path} was evolved with {key}={recorded}; {flag} asks for "
+        f"{key}={given}"
+    )
+
+
+def _agree(path: str, record: dict, key: str, flag: str, given):
+    """``given`` (a flag's value, None when absent) or else the value
+    the file recorded under ``key``; refuses a flag that contradicts
+    the record."""
+    recorded = record.get(key)
+    if given is not None and recorded is not None and given != recorded:
+        raise _contradiction(path, flag, given, key, recorded)
+    return recorded if given is None else given
 
 
 def _resolve_component(
@@ -207,11 +255,32 @@ def _resolve_component(
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    chromosome = _load_chromosome(args.chromosome)
+    path = args.chromosome
+    chromosome, record = _load_chromosome(path)
     net = chromosome.to_netlist()
-    comp, width = _resolve_component(net, args.component)
-    signed = comp.resolve_signed(not args.unsigned)
-    dist = parse_distribution(args.dist, width, signed)
+    component = _agree(
+        path, record, "component", "--component",
+        None if args.component == "auto" else args.component,
+    )
+    comp, width = _resolve_component(net, component or "auto")
+    signedness = _agree(
+        path, record, "signedness", "--unsigned",
+        "unsigned" if args.unsigned else None,
+    )
+    signed = comp.resolve_signed(signedness != "unsigned")
+    recorded = record.get("dist")
+    try:
+        dist = parse_distribution(
+            args.dist or recorded or "uniform", width, signed
+        )
+        # Specs are compared by the weights they give ("du" is
+        # "uniform"), not by spelling.
+        if args.dist and recorded and not np.array_equal(
+            dist.pmf, parse_distribution(recorded, width, signed).pmf
+        ):
+            raise _contradiction(path, "--dist", args.dist, "dist", recorded)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     summary = characterize(net)
     objective = component_objective(comp.name, width, dist)
     table = objective.truth_table(chromosome)
@@ -557,7 +626,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_verilog(args: argparse.Namespace) -> int:
-    chromosome = _load_chromosome(args.chromosome)
+    chromosome, _ = _load_chromosome(args.chromosome)
     text = to_verilog(chromosome.to_netlist(), module_name=args.module)
     if args.output:
         with open(args.output, "w") as fh:
@@ -633,12 +702,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--component",
         choices=("auto",) + tuple(COMPONENTS),
         default="auto",
-        help="component kind (auto = detect from the chromosome "
-        "interface shape; an ambiguous shape, e.g. adder/subtractor, "
-        "demands an explicit choice)",
+        help="component kind (auto = the one the file records, else "
+        "detect from the chromosome interface shape; an ambiguous "
+        "shape, e.g. adder/subtractor, demands an explicit choice)",
     )
-    p_ch.add_argument("--dist", default="uniform")
-    p_ch.add_argument("--unsigned", action="store_true")
+    # Absent flags take the values `evolve --output` recorded in the
+    # file (uniform and signed for files without them).
+    p_ch.add_argument("--dist", default=None)
+    p_ch.add_argument("--unsigned", action="store_true", default=None)
     p_ch.set_defaults(func=_cmd_characterize)
 
     p_vl = sub.add_parser("export-verilog", help="emit structural Verilog")

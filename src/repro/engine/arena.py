@@ -14,11 +14,15 @@ Layout of the signal matrix ``buf`` (``slots x words`` of ``uint64``):
   liveness allocator (so the hot region is the circuit's live width,
   typically far smaller than its gate count, and stays cache-resident).
 
-Batched evaluation adds *per-candidate* buffers on demand
-(:meth:`BufferArena.ensure_batch`): every candidate of a brood gets a
-private scratch lane, program-slab row, transpose-scratch row, distance
-row and statistics row, all contiguous 2-D arrays so one native call
-(``cgp_eval_batch``) can walk them by stride.  The packed stimulus stays
+Batched evaluation adds *per-candidate* buffers on demand, all
+contiguous 2-D arrays so one native call (``cgp_eval_batch``) can walk
+them by stride: every candidate of a brood gets a program-slab row and
+a statistics row (:meth:`BufferArena.ensure_batch`).  A brood whose
+candidates run concurrently (the threaded schedule) also gets a private
+scratch lane, transpose-scratch row and distance row per candidate
+(:meth:`BufferArena.ensure_lanes`); the serial schedule, on either
+backend, runs each candidate in turn in ``buf``'s non-input rows,
+``decode_scratch`` and ``err`` instead.  The packed stimulus stays
 shared — slot ``s < num_inputs`` resolves into ``buf``, slot
 ``s >= num_inputs`` into row ``s - num_inputs`` of the candidate's lane.
 
@@ -110,8 +114,10 @@ class BufferArena:
         #: form and sampled estimates read it; the rest never write it).
         self.err = np.empty(self.num_vectors, dtype=np.int64)
 
-        # Batch lanes, allocated lazily by ensure_batch().
+        # Batch slabs and lanes, allocated lazily by ensure_batch() and
+        # ensure_lanes().
         self.batch_capacity = 0
+        self.lane_capacity = 0
         #: Incremented on every batch (re)allocation so callers caching
         #: raw buffer addresses know when to refresh them.
         self.batch_epoch = 0
@@ -125,7 +131,6 @@ class BufferArena:
         self.batch_scratch: Optional[np.ndarray] = None
         self.batch_err: Optional[np.ndarray] = None
         self.batch_stats: Optional[np.ndarray] = None
-        self._batch_rows: List[List[np.ndarray]] = []
 
     @property
     def rows(self) -> List[np.ndarray]:
@@ -156,7 +161,8 @@ class BufferArena:
 
     # ------------------------------------------------------------------
     def ensure_batch(self, n_cand: int) -> None:
-        """Grow the per-candidate batch buffers to hold ``n_cand``.
+        """Grow the per-candidate program slabs and statistics rows to
+        hold ``n_cand``.
 
         No-op when capacity already suffices.  Growth reallocates (old
         batch contents are not preserved — every batch dispatch fills
@@ -165,39 +171,38 @@ class BufferArena:
         if n_cand <= self.batch_capacity:
             return
         nn, no = self.num_nodes, self.num_outputs
-        # Private scratch lane per candidate: slot s >= ni lives in lane
-        # row s - ni; worst case (no slot reuse) needs nn rows.
-        self.batch_lanes = np.empty((n_cand, nn, self.words), dtype=np.uint64)
         self.batch_ops = np.empty((n_cand, nn), dtype=np.int32)
         self.batch_src_a = np.empty((n_cand, nn), dtype=np.int32)
         self.batch_src_b = np.empty((n_cand, nn), dtype=np.int32)
         self.batch_dst = np.empty((n_cand, nn), dtype=np.int32)
         self.batch_out_slots = np.empty((n_cand, max(no, 1)), dtype=np.int32)
         self.batch_n_ops = np.zeros(n_cand, dtype=np.int32)
+        # Per-candidate decode statistics for the native exact-reduction
+        # path; rows stay untouched on the err path.
+        self.batch_stats = np.zeros((n_cand, STATS_WIDTH), dtype=np.int64)
+        self.batch_capacity = n_cand
+        self.batch_epoch += 1
+
+    def ensure_lanes(self) -> None:
+        """Give every slab row a private scratch lane, transpose-scratch
+        row and distance row (threaded broods).
+
+        No-op when they already cover :attr:`batch_capacity`; growth
+        reallocates and bumps :attr:`batch_epoch`.
+        """
+        n_cand = self.batch_capacity
+        if n_cand <= self.lane_capacity:
+            return
+        # Slot s >= ni lives in lane row s - ni; worst case (no slot
+        # reuse) needs nn rows.
+        self.batch_lanes = np.empty(
+            (n_cand, self.num_nodes, self.words), dtype=np.uint64
+        )
         self.batch_scratch = np.empty(
             (n_cand, self.scratch_words), dtype=np.uint64
         )
         self.batch_err = np.empty(
             (n_cand, self.num_vectors), dtype=np.int64
         )
-        # Per-candidate decode statistics for the native exact-reduction
-        # path; rows stay untouched on the err path.
-        self.batch_stats = np.zeros((n_cand, STATS_WIDTH), dtype=np.int64)
-        self._batch_rows = []
-        self.batch_capacity = n_cand
+        self.lane_capacity = n_cand
         self.batch_epoch += 1
-
-    def batch_rows(self, cand: int) -> List[np.ndarray]:
-        """Slot-indexed row views for batch candidate ``cand``.
-
-        ``rows[s]`` is stimulus row ``s`` for ``s < num_inputs`` and lane
-        row ``s - num_inputs`` above; built on first use (numpy backend
-        only) for every candidate of the current batch buffers.
-        """
-        if not self._batch_rows:
-            ni = self.num_inputs
-            self._batch_rows = [
-                self.rows[:ni] + list(self.batch_lanes[c])
-                for c in range(self.batch_capacity)
-            ]
-        return self._batch_rows[cand]

@@ -15,6 +15,16 @@ through the evaluation engine:
    (:mod:`repro.engine.kernels`), followed by the fused decode and the
    objective's metric.
 
+Every native evaluation runs through ``cgp_eval_batch``: a brood as
+one fused call under the OpenMP team, or as one call per candidate on
+the calling thread, the serial schedule a lone
+:meth:`~_EngineEvalMixin.evaluate` also takes.  Each per-params runtime
+picks a brood's schedule once, when it is built, from what it can
+observe (the team size, the stimulus words per plane, and whether its
+owner is the main thread of a process that is not a
+``multiprocessing`` child); ``stats()["omp"]["schedule"]`` reports the
+decision.
+
 The decode joins the output bits of each vector into an int64 and
 subtracts it from the int64 reference, so one compiled path serves
 every output bus up to 62 bits — the widest the sampled path accepts —
@@ -48,6 +58,9 @@ per worker.
 from __future__ import annotations
 
 import hashlib
+import os
+import sys
+import threading
 from time import perf_counter_ns
 from typing import Dict, List, Optional, Sequence
 
@@ -65,7 +78,7 @@ from ..core.objective import (
 from ..errors.distributions import Distribution
 from ..tech.library import TechLibrary
 from . import kernels
-from .arena import MAX_OUTPUT_BITS, STATS_WIDTH, BufferArena
+from .arena import MAX_OUTPUT_BITS, BufferArena
 from .cache import EvalCache
 from .compiler import compile_genes_into, phenotype_signature
 from .native import NativeLib, native_lib, omp_threads
@@ -84,6 +97,35 @@ _REFERENCE_LIMIT = 1 << 62
 #: The narrow loops subtract in int32; the reference must leave room for
 #: a 16-bit output value.
 _NARROW_REFERENCE_LIMIT = (1 << 31) - (1 << 17)
+#: Stimulus words per plane from which one candidate's work pays the
+#: OpenMP team's hand-off (``benchmarks/bench_engine.py``'s brood sweep
+#: times both schedules at 32-1024 words).
+_THREADED_MIN_WORDS = 128
+
+
+def _brood_team(native: Optional[NativeLib], words: int) -> int:
+    """The OpenMP team a new runtime's broods dispatch to; 1 is serial.
+
+    Threaded only where the team has more than one thread, each
+    candidate has at least :data:`_THREADED_MIN_WORDS` words per
+    stimulus plane, and the caller — the arena's single owner — is the
+    main thread of a process that is not a ``multiprocessing`` child:
+    a pool worker or worker thread already is one of several parallel
+    runs, and a team inside it would oversubscribe the cores.  Both
+    schedules run the same per-candidate integer code, so the choice
+    never changes a result.
+    """
+    # Every multiprocessing child has imported multiprocessing, so other
+    # processes need not pay for the import (~0.6 MB) to be told apart.
+    mp = sys.modules.get("multiprocessing")
+    if (
+        native is None
+        or words < _THREADED_MIN_WORDS
+        or threading.current_thread() is not threading.main_thread()
+        or (mp is not None and mp.parent_process() is not None)
+    ):
+        return 1
+    return omp_threads()
 
 
 class _Runtime:
@@ -149,20 +191,24 @@ class _Runtime:
         # is allocated for the runtime's lifetime, and the ndarray
         # ``.ctypes`` accessor costs ~µs — comparable to a small kernel
         # call — so the hot path must not pay it per evaluation.  Batch
-        # arrays are (re)captured in ensure_batch() on epoch change.
+        # arrays are (re)captured in _refresh_batch() on epoch change.
         self._batch_epoch_seen = -1
         self._lane_compile_args: List[tuple] = []
         self._lane_eval_args: List[tuple] = []
         self._lane_stats_args: List[tuple] = []
+        #: The OpenMP team this runtime's broods dispatch to, decided
+        #: once (see _brood_team); 1 selects the serial chunked loop.
+        self.threads = _brood_team(native, self.arena.words)
+        #: The process that built the runtime; any other runs serial.
+        self.pid = os.getpid()
         if native is not None:
             a = self.arena
-            # Single-path exact-reduction target (the five statistics).
-            self.stats = np.zeros(STATS_WIDTH, dtype=np.int64)
-            self.p_stats = self.stats.ctypes.data
             self.p_weight_row = (
                 weight_row.ctypes.data if weight_row is not None else 0
             )
             self.p_buf = a.buf.ctypes.data
+            #: The serial schedule's lane: buf's rows past the stimulus.
+            self.p_serial_lane = self.p_buf + a.num_inputs * a.words * 8
             self.p_ops = a.ops.ctypes.data
             self.p_src_a = a.src_a.ctypes.data
             self.p_src_b = a.src_b.ctypes.data
@@ -197,13 +243,6 @@ class _Runtime:
             a.ops, a.src_a, a.src_b, a.dst, a.out_slots,
         )
 
-    def signature(self, n_ops: int) -> bytes:
-        a = self.arena
-        return phenotype_signature(
-            a.ops[:n_ops], a.src_a[:n_ops], a.src_b[:n_ops], a.dst[:n_ops],
-            a.out_slots, salt=self.salt,
-        )
-
     def execute(self, n_ops: int) -> None:
         a = self.arena
         if self.native is not None:
@@ -213,33 +252,6 @@ class _Runtime:
             )
         else:
             kernels.run_program(a, n_ops)
-
-    def error(self, signed: bool) -> np.ndarray:
-        a = self.arena
-        if self.native is not None:
-            self.native.decode_err(
-                self.p_buf, a.words, self.p_out_slots, a.num_outputs,
-                a.num_vectors, signed, self.p_decode_scratch,
-                self.p_exact32, self.p_exact, self.p_err,
-            )
-            return a.err
-        return kernels.decode_error(a, a.num_outputs, signed, self.reference)
-
-    def reduce_stats(self, signed: bool) -> list:
-        """Decode + exact integer reduction of the single-path outputs.
-
-        Native only.  Returns ``[Σ|d|, #{d != 0}, max|d|, Σ W·|d|,
-        Σ W·[d != 0]]`` — exactly what
-        :meth:`~repro.errors.weights.IntegerWeights.stats` computes from
-        the row :meth:`error` would materialize — without writing it.
-        """
-        a = self.arena
-        self.native.decode_reduce(
-            self.p_buf, a.words, self.p_out_slots, a.num_outputs,
-            a.num_vectors, signed, self.p_decode_scratch, self.p_exact32,
-            self.p_exact, self.p_weight_row, self.weight_mask, self.p_stats,
-        )
-        return self.stats.tolist()
 
     def values(self, signed: bool) -> np.ndarray:
         a = self.arena
@@ -251,77 +263,95 @@ class _Runtime:
             return a.values
         return kernels.decode_values(a, a.num_outputs, signed)
 
+    def team(self) -> int:
+        """The OpenMP team a brood dispatches to in this process.
+
+        The runtime's decision, except in any process but the one that
+        built it: libgomp's team does not survive ``fork()``, so a
+        forked copy runs the serial loop.
+        """
+        if self.threads > 1 and os.getpid() == self.pid:
+            return self.threads
+        return 1
+
     # ------------------------------------------------------------------
-    # Batched evaluation over per-candidate lanes.
+    # Batched evaluation over per-candidate program slabs.
     def ensure_batch(self, n_cand: int) -> None:
-        """Size the arena's batch lanes and refresh cached addresses."""
+        """Size the arena's program slabs and refresh cached addresses."""
+        self.arena.ensure_batch(n_cand)
+        self._refresh_batch()
+
+    def _refresh_batch(self) -> None:
+        """Recapture the batch buffers' raw addresses after the arena
+        (re)allocated any of them."""
         a = self.arena
-        a.ensure_batch(n_cand)
-        if self.native is not None and self._batch_epoch_seen != a.batch_epoch:
+        if self.native is None or self._batch_epoch_seen == a.batch_epoch:
+            return
+        self.p_b_ops = a.batch_ops.ctypes.data
+        self.p_b_src_a = a.batch_src_a.ctypes.data
+        self.p_b_src_b = a.batch_src_b.ctypes.data
+        self.p_b_dst = a.batch_dst.ctypes.data
+        self.p_b_out_slots = a.batch_out_slots.ctypes.data
+        self.p_b_n_ops = a.batch_n_ops.ctypes.data
+        self.p_b_stats = a.batch_stats.ctypes.data
+        if a.lane_capacity:
             self.p_lanes = a.batch_lanes.ctypes.data
-            self.p_b_ops = a.batch_ops.ctypes.data
-            self.p_b_src_a = a.batch_src_a.ctypes.data
-            self.p_b_src_b = a.batch_src_b.ctypes.data
-            self.p_b_dst = a.batch_dst.ctypes.data
-            self.p_b_out_slots = a.batch_out_slots.ctypes.data
-            self.p_b_n_ops = a.batch_n_ops.ctypes.data
             self.p_b_scratch = a.batch_scratch.ctypes.data
             self.p_b_err = a.batch_err.ctypes.data
-            self.p_b_stats = a.batch_stats.ctypes.data
-            # Fully precomposed cgp_compile argument tails, one per slab
-            # lane: compile_into_lane then costs one ctypes call with no
-            # per-candidate pointer arithmetic or attribute traffic.
-            p = self.params
-            prog_b = p.num_nodes * 4                 # int32 row bytes
-            out_b = a.batch_out_slots.shape[1] * 4
-            self._lane_compile_args = [
+        # Fully precomposed cgp_compile argument tails, one per slab
+        # lane: compile_into_lane then costs one ctypes call with no
+        # per-candidate pointer arithmetic or attribute traffic.
+        p = self.params
+        prog_b = p.num_nodes * 4                 # int32 row bytes
+        out_b = a.batch_out_slots.shape[1] * 4
+        self._lane_compile_args = [
+            (
+                p.num_nodes, p.num_inputs, p.num_outputs,
+                self.p_fn2op, self.p_arity,
+                self.p_b_ops + k * prog_b,
+                self.p_b_src_a + k * prog_b,
+                self.p_b_src_b + k * prog_b,
+                self.p_b_dst + k * prog_b,
+                self.p_b_out_slots + k * out_b,
+                self.p_needed, self.p_scratch_i32,
+            )
+            for k in range(a.batch_capacity)
+        ]
+        # Per-lane slab pointers for the chunked (cache-blocked)
+        # serial dispatch of execute_lane().
+        self._lane_eval_args = [
+            (
+                self.p_b_n_ops + k * 4,
+                self.p_b_ops + k * prog_b,
+                self.p_b_src_a + k * prog_b,
+                self.p_b_src_b + k * prog_b,
+                self.p_b_dst + k * prog_b,
+                self.p_b_out_slots + k * out_b,
+            )
+            for k in range(a.batch_capacity)
+        ]
+        # Fully precomposed cgp_eval_batch argument tuples for the
+        # stats-mode chunked dispatch, split around the one argument
+        # (do_sign) the caller supplies: execute_lane_stats then
+        # costs a single raw ctypes call.
+        self._lane_stats_args = [
+            (
                 (
-                    p.num_nodes, p.num_inputs, p.num_outputs,
-                    self.p_fn2op, self.p_arity,
-                    self.p_b_ops + k * prog_b,
-                    self.p_b_src_a + k * prog_b,
-                    self.p_b_src_b + k * prog_b,
-                    self.p_b_dst + k * prog_b,
-                    self.p_b_out_slots + k * out_b,
-                    self.p_needed, self.p_scratch_i32,
-                )
-                for k in range(a.batch_capacity)
-            ]
-            # Per-lane slab pointers for the chunked (cache-blocked)
-            # serial dispatch of execute_lane().
-            self._lane_eval_args = [
+                    self.p_buf, self.p_serial_lane, a.num_inputs, 0,
+                    a.words, 1, n_ops_p, ops_p, sa_p, sb_p, dst_p,
+                    a.num_nodes, osl_p, a.num_outputs,
+                    a.batch_out_slots.shape[1], a.num_vectors,
+                ),
                 (
-                    self.p_b_n_ops + k * 4,
-                    self.p_b_ops + k * prog_b,
-                    self.p_b_src_a + k * prog_b,
-                    self.p_b_src_b + k * prog_b,
-                    self.p_b_dst + k * prog_b,
-                    self.p_b_out_slots + k * out_b,
-                )
-                for k in range(a.batch_capacity)
-            ]
-            # Fully precomposed cgp_eval_batch argument tuples for the
-            # stats-mode chunked dispatch, split around the one argument
-            # (do_sign) the caller supplies: execute_lane_stats then
-            # costs a single raw ctypes call.
-            self._lane_stats_args = [
-                (
-                    (
-                        self.p_buf, self.p_lanes, a.num_inputs, 0,
-                        a.words, 1, n_ops_p, ops_p, sa_p, sb_p, dst_p,
-                        a.num_nodes, osl_p, a.num_outputs,
-                        a.batch_out_slots.shape[1], a.num_vectors,
-                    ),
-                    (
-                        self.p_b_scratch, 0, self.p_exact32, self.p_exact,
-                        self.p_weight_row, self.weight_mask, self.p_err,
-                        a.num_vectors, self.p_b_stats, 1,
-                    ),
-                )
-                for (n_ops_p, ops_p, sa_p, sb_p, dst_p, osl_p)
-                in self._lane_eval_args
-            ]
-            self._batch_epoch_seen = a.batch_epoch
+                    self.p_decode_scratch, 0, self.p_exact32, self.p_exact,
+                    self.p_weight_row, self.weight_mask, self.p_err,
+                    a.num_vectors, self.p_b_stats, 1,
+                ),
+            )
+            for (n_ops_p, ops_p, sa_p, sb_p, dst_p, osl_p)
+            in self._lane_eval_args
+        ]
+        self._batch_epoch_seen = a.batch_epoch
 
     def compile_into_lane(self, genes: np.ndarray, lane: int) -> int:
         """Compile ``genes`` into batch slab row ``lane``; return n_ops."""
@@ -345,11 +375,10 @@ class _Runtime:
         return n
 
     def lane_signature(self, lane: int, n_ops: int) -> bytes:
-        """Signature of the program in slab row ``lane``.
+        """Cache key of the program in slab row ``lane``.
 
-        Byte-identical to :meth:`signature` for the same phenotype — the
-        slab rows hold exactly what the single-candidate compile emits —
-        so batch and sequential paths share one cache keyspace.
+        Salted with the objective's identity, so equal programs under
+        different objectives never share a cache entry.
         """
         a = self.arena
         return phenotype_signature(
@@ -366,71 +395,66 @@ class _Runtime:
         self, n_lanes: int, signed: bool, nthreads: int,
         stats: bool = False,
     ) -> None:
-        """Run + decode-error all ``n_lanes`` compiled lanes.
+        """Run + decode-error all ``n_lanes`` compiled lanes in one
+        native call: the threaded schedule.
 
-        One native call (candidate loop in C, optionally OpenMP) or the
-        equivalent numpy loop; either way ``arena.batch_err[k]`` receives
-        lane ``k``'s per-vector int64 distances, bit-identical to the
-        single-candidate path.  With ``stats`` (native only) lane ``k``'s
-        distances reduce into the five statistics of
-        ``arena.batch_stats[k]`` instead and the distance rows stay
-        untouched.
-
-        On the serial native path the lane and transpose-scratch strides
-        are 0: each candidate finishes (execute + decode) before the
-        next starts and a compiled program writes every non-input slot
-        before reading it, so all candidates soundly share lane 0 — a
-        working set that stays cache-resident instead of streaming one
-        cold lane per candidate.  Threaded dispatch needs the private
-        lanes and passes the full strides.
+        Every candidate runs in its private lane, transpose-scratch and
+        distance row (allocated here, for every slab row, on first use),
+        the candidate loop in C under an OpenMP team of ``nthreads``.
+        ``arena.batch_err[k]`` receives lane ``k``'s per-vector int64
+        distances, bit-identical to the serial dispatch of
+        :meth:`execute_lane`.  With ``stats`` lane ``k``'s distances
+        reduce into the five statistics of ``arena.batch_stats[k]``
+        instead and the distance rows stay untouched.
         """
         a = self.arena
-        if self.native is not None:
-            serial = nthreads <= 1 or n_lanes <= 1
-            self.native.eval_batch(
-                self.p_buf, self.p_lanes, a.num_inputs,
-                0 if serial else a.num_nodes,
-                a.words, n_lanes, self.p_b_n_ops, self.p_b_ops,
-                self.p_b_src_a, self.p_b_src_b, self.p_b_dst,
-                a.num_nodes, self.p_b_out_slots, a.num_outputs,
-                a.batch_out_slots.shape[1], a.num_vectors, signed,
-                self.p_b_scratch,
-                0 if serial else a.batch_scratch.shape[1],
-                self.p_exact32, self.p_exact, self.p_b_err, a.num_vectors,
-                nthreads,
-                stats=self.p_b_stats if stats else 0,
-                weight_row=self.p_weight_row,
-                weight_mask=self.weight_mask,
-            )
-        else:
-            for k in range(n_lanes):
-                kernels.run_program_batch(a, k, int(a.batch_n_ops[k]))
-                kernels.decode_error_batch(
-                    a, k, a.num_outputs, signed, self.reference
-                )
+        a.ensure_lanes()
+        self._refresh_batch()
+        self.native.eval_batch(
+            self.p_buf, self.p_lanes, a.num_inputs, a.num_nodes,
+            a.words, n_lanes, self.p_b_n_ops, self.p_b_ops,
+            self.p_b_src_a, self.p_b_src_b, self.p_b_dst,
+            a.num_nodes, self.p_b_out_slots, a.num_outputs,
+            a.batch_out_slots.shape[1], a.num_vectors, signed,
+            self.p_b_scratch, a.batch_scratch.shape[1],
+            self.p_exact32, self.p_exact, self.p_b_err, a.num_vectors,
+            nthreads,
+            stats=self.p_b_stats if stats else 0,
+            weight_row=self.p_weight_row,
+            weight_mask=self.weight_mask,
+        )
 
     def execute_lane(self, lane: int, signed: bool) -> np.ndarray:
-        """Run + decode-error one compiled slab lane (native only).
+        """Run + decode-error one compiled slab lane: the serial schedule.
 
-        The cache-blocked serial schedule of the batch ABI: the same
+        Every candidate runs in turn in the arena's own buffers —
+        ``buf``'s rows past the stimulus as its scratch lane, the decode
+        scratch and the error row ``arena.err``.  Each candidate
+        finishes (execute + decode) before the next starts, and a
+        compiled program writes every non-input slot before reading it,
+        so sharing them is sound, and the working set stays
+        cache-resident: the caller reduces the returned distances before
+        the next candidate overwrites them, a cache-hot row instead of
+        one of N cold private rows.  Natively this is the same
         ``cgp_eval_batch`` entry point, dispatched one candidate at a
-        time with the slab pointers offset to ``lane`` and every
-        per-candidate buffer — scratch lane, transpose scratch and the
-        *single-path* error row (``arena.err``) — reused across chunks.
-        The caller reduces the returned distances before the next chunk
-        overwrites them, so each reduction reads a cache-hot row instead
-        of one of N cold private rows; results are bit-identical to the
-        one-call dispatch (same C code runs per candidate either way).
+        time with the slab pointers offset to ``lane``, so results are
+        bit-identical to the one-call dispatch; the numpy backend runs
+        the same integer kernels.
         """
         a = self.arena
+        if self.native is None:
+            kernels.run_program(a, int(a.batch_n_ops[lane]), lane)
+            return kernels.decode_error_lane(
+                a, lane, a.num_outputs, signed, self.reference
+            )
         n_ops_p, ops_p, sa_p, sb_p, dst_p, osl_p = self._lane_eval_args[lane]
         self.native.eval_batch(
-            self.p_buf, self.p_lanes, a.num_inputs, 0,
+            self.p_buf, self.p_serial_lane, a.num_inputs, 0,
             a.words, 1, n_ops_p, ops_p, sa_p, sb_p, dst_p,
             a.num_nodes, osl_p, a.num_outputs,
             a.batch_out_slots.shape[1], a.num_vectors, signed,
-            self.p_b_scratch, 0, self.p_exact32, self.p_exact, self.p_err,
-            a.num_vectors, 1,
+            self.p_decode_scratch, 0, self.p_exact32, self.p_exact,
+            self.p_err, a.num_vectors, 1,
         )
         return a.err
 
@@ -630,92 +654,32 @@ class _EngineEvalMixin:
         return EvalResult(fitness=fitness, wmed=error, area=area)
 
     # ------------------------------------------------------------------
-    def _measure(self, chromosome: Chromosome) -> tuple:
-        """Measure tuple of a candidate, via cache or fresh execution."""
-        rt = self._runtime(chromosome.params)
-        if rt is None:
-            _obs.ENGINE_FALLBACK.labels(
-                self._fallback[chromosome.params]
-            ).inc()
-            return self._measure_interpreted(chromosome)
-        rt.arena.assert_owner()
-        n_ops = rt.compile(chromosome.genes)
-        caching = self.cache.max_entries > 0
-        if caching:
-            sig = rt.signature(n_ops)
-            cached = self.cache.get(sig)
-            if cached is not None:
-                return cached
-        rt.execute(n_ops)
-        area = float(rt.area_by_op[rt.arena.ops[:n_ops]].sum())
-        if rt.native is not None and self._reduce_kind is not None:
-            measure = (self._reduce_error(rt.reduce_stats(self.signed)), area)
-        else:
-            measure = self._finish_measure(rt.error(self.signed), area)
-        if caching:
-            self.cache.put(sig, *measure)
-        return measure
+    def _measure_brood(self, chromosomes: List[Chromosome]) -> List[tuple]:
+        """Measure tuples of a brood, in order.
 
-    def truth_table(self, chromosome: Chromosome) -> np.ndarray:
-        self._check_params(chromosome.params)
-        rt = self._runtime(chromosome.params)
-        if rt is None:
-            return CircuitObjective.truth_table(self, chromosome)
-        n_ops = rt.compile(chromosome.genes)
-        rt.execute(n_ops)
-        return rt.values(self.signed).copy()
+        Per candidate: compile into a slab row, look the signature up
+        in the phenotype cache, and dedupe identical phenotypes within
+        the brood.  Survivors then run under the runtime's schedule (see
+        :meth:`_Runtime.team`):
 
-    def error(self, chromosome: Chromosome) -> float:
-        self._check_params(chromosome.params)
-        return self._measure(chromosome)[0]
+        * threaded: **one** fused ``cgp_eval_batch`` call, candidate
+          loop in C under the OpenMP team, each candidate writing its
+          private lane / scratch / error row (:meth:`_Runtime.execute_batch`);
+        * serial: one candidate at a time in the arena's own lane,
+          scratch and error row, so the metric reduction that follows
+          it reads cache-hot data (:meth:`_measure_lane`).
 
-    def wmed(self, chromosome: Chromosome) -> float:
-        return self.error(chromosome)
-
-    def evaluate(self, chromosome: Chromosome, threshold: float) -> EvalResult:
-        t0 = perf_counter_ns()
-        self._check_params(chromosome.params)
-        result = self._result(self._measure(chromosome), threshold)
-        _obs.ENGINE_EVALS.inc()
-        _obs.ENGINE_EVAL_NS.inc(perf_counter_ns() - t0)
-        return result
-
-    def evaluate_batch(
-        self, chromosomes: Sequence[Chromosome], threshold: float
-    ) -> List[EvalResult]:
-        """Evaluate a population slice with one fused native dispatch.
-
-        Per candidate: compile into a private slab lane, look the
-        signature up in the phenotype cache, and dedupe identical
-        phenotypes within the batch.  Survivors then run through the
-        ``cgp_eval_batch`` ABI under one of two schedules:
-
-        * threaded (``REPRO_OMP`` resolves to > 1): **one** fused call,
-          candidate loop in C under an OpenMP team, each candidate
-          writing its private lane / scratch / error row;
-        * serial: the same entry point dispatched one candidate at a
-          time (cache-blocked), every chunk reusing the same lane,
-          scratch and error row so the metric reduction that follows it
-          reads cache-hot data.
-
-        Results are bit-identical to calling :meth:`evaluate`
-        sequentially — same compiled programs, same integer kernels,
-        same reduction — batching only changes dispatch overhead and
-        memory locality.
-
-        Mixed-params batches and non-engine runtimes fall back to the
-        sequential path.
+        Both run the same compiled programs through the same integer
+        kernels and reduction, so the schedule changes dispatch overhead
+        and memory locality, never a result.  A brood of one always runs
+        serial.  A brood without a runtime (measured interpreted, each
+        candidate counted as a fallback) or of mixed params is measured
+        one candidate at a time (:meth:`_measure_one`).
         """
-        chromosomes = list(chromosomes)
-        if not chromosomes:
-            return []
         params = chromosomes[0].params
-        for c in chromosomes:
-            self._check_params(c.params)
         rt = self._runtime(params)
         if rt is None or any(c.params != params for c in chromosomes[1:]):
-            # The sequential fallback counts per-candidate in evaluate().
-            return [self.evaluate(c, threshold) for c in chromosomes]
+            return [self._measure_one(c) for c in chromosomes]
         t0 = perf_counter_ns()
         rt.arena.assert_owner()
         n = len(chromosomes)
@@ -752,79 +716,157 @@ class _EngineEvalMixin:
         if dups:
             _obs.ENGINE_BATCH_DEDUP.inc(len(dups))
         if n_lanes:
-            nthreads = omp_threads() if rt.native is not None else 1
+            nthreads = rt.team() if n_lanes > 1 else 1
             self._batch_calls += 1
             self._batch_evals += n_lanes
             _obs.ENGINE_BATCH_CALLS.inc()
             _obs.ENGINE_BATCH_EVALS.inc(n_lanes)
             _obs.ENGINE_BATCH_SIZE.observe(n_lanes)
             by_lane: Dict[int, tuple] = {}
-            finish = self._finish_measure
-            lane_area = rt.lane_area
             cache_put = self.cache.put
-            signed = self.signed
-            fast = rt.native is not None and self._reduce_kind is not None
-            if rt.native is not None and nthreads <= 1:
-                # Cache-blocked serial schedule: dispatch the batch ABI
-                # one candidate at a time and reduce each distance row
-                # while it is still cache-hot.  One brood otherwise
-                # streams n_lanes cold private error rows (~n x 512 KiB
-                # at width 8) through the reductions, which costs more
-                # than the dispatch the fused call saves.
-                if fast:
-                    execute_lane_stats = rt.execute_lane_stats
-                    reduce_error = self._reduce_error
-                    for i, lane, sig, n_ops in pending:
-                        measure = (
-                            reduce_error(execute_lane_stats(lane, signed)),
-                            lane_area(lane, n_ops),
-                        )
-                        if caching:
-                            cache_put(sig, *measure)
-                        measures[i] = by_lane[lane] = measure
-                else:
-                    execute_lane = rt.execute_lane
-                    for i, lane, sig, n_ops in pending:
-                        measure = finish(
-                            execute_lane(lane, signed),
-                            lane_area(lane, n_ops),
-                        )
-                        if caching:
-                            cache_put(sig, *measure)
-                        measures[i] = by_lane[lane] = measure
+            if nthreads <= 1:
+                # Cache-blocked serial schedule: run one candidate at a
+                # time and reduce each distance row while it is still
+                # cache-hot.  One brood otherwise streams n_lanes cold
+                # private error rows (~n x 512 KiB at width 8) through
+                # the reductions, which costs more than the dispatch
+                # the fused call saves.
+                measure_lane = self._measure_lane
+                for i, lane, sig, n_ops in pending:
+                    measure = measure_lane(rt, lane, n_ops)
+                    if caching:
+                        cache_put(sig, *measure)
+                    measures[i] = by_lane[lane] = measure
             else:
-                rt.execute_batch(n_lanes, signed, nthreads, stats=fast)
+                fast = self._reduce_kind is not None
+                rt.execute_batch(n_lanes, self.signed, nthreads, stats=fast)
                 batch_err = rt.arena.batch_err
                 batch_stats = rt.arena.batch_stats
-                reduce_error = self._reduce_error
                 for i, lane, sig, n_ops in pending:
+                    area = rt.lane_area(lane, n_ops)
                     if fast:
                         measure = (
-                            reduce_error(batch_stats[lane].tolist()),
-                            lane_area(lane, n_ops),
+                            self._reduce_error(batch_stats[lane].tolist()),
+                            area,
                         )
                     else:
-                        measure = finish(
-                            batch_err[lane], lane_area(lane, n_ops)
-                        )
+                        measure = self._finish_measure(batch_err[lane], area)
                     if caching:
                         cache_put(sig, *measure)
                     measures[i] = by_lane[lane] = measure
             for i, lane in dups:
                 measures[i] = by_lane[lane]
+        return measures
+
+    def _measure_one(self, chromosome: Chromosome) -> tuple:
+        """Measure tuple of a lone candidate (:meth:`evaluate`).
+
+        Slab row 0 on the serial schedule, via the phenotype cache, with
+        none of a brood's dedupe and dispatch bookkeeping: like the
+        evolve loop's parent evaluation, it is not counted as a brood.
+        """
+        rt = self._runtime(chromosome.params)
+        if rt is None:
+            _obs.ENGINE_FALLBACK.labels(
+                self._fallback[chromosome.params]
+            ).inc()
+            return self._measure_interpreted(chromosome)
+        rt.arena.assert_owner()
+        rt.ensure_batch(1)
+        n_ops = rt.compile_into_lane(chromosome.genes, 0)
+        caching = self.cache.max_entries > 0
+        if caching:
+            sig = rt.lane_signature(0, n_ops)
+            cached = self.cache.get(sig)
+            if cached is not None:
+                return cached
+        measure = self._measure_lane(rt, 0, n_ops)
+        if caching:
+            self.cache.put(sig, *measure)
+        return measure
+
+    def _measure_lane(self, rt: _Runtime, lane: int, n_ops: int) -> tuple:
+        """Run slab row ``lane`` on the serial schedule; its measure.
+
+        Natively, metrics with an integer form reduce in C
+        (:meth:`_Runtime.execute_lane_stats`); the rest read the
+        materialized distance row (:meth:`_Runtime.execute_lane`).
+        """
+        if rt.native is not None and self._reduce_kind is not None:
+            return (
+                self._reduce_error(rt.execute_lane_stats(lane, self.signed)),
+                rt.lane_area(lane, n_ops),
+            )
+        return self._finish_measure(
+            rt.execute_lane(lane, self.signed), rt.lane_area(lane, n_ops)
+        )
+
+    def truth_table(self, chromosome: Chromosome) -> np.ndarray:
+        self._check_params(chromosome.params)
+        rt = self._runtime(chromosome.params)
+        if rt is None:
+            return CircuitObjective.truth_table(self, chromosome)
+        n_ops = rt.compile(chromosome.genes)
+        rt.execute(n_ops)
+        return rt.values(self.signed).copy()
+
+    def error(self, chromosome: Chromosome) -> float:
+        self._check_params(chromosome.params)
+        return self._measure_one(chromosome)[0]
+
+    def wmed(self, chromosome: Chromosome) -> float:
+        return self.error(chromosome)
+
+    def evaluate(self, chromosome: Chromosome, threshold: float) -> EvalResult:
+        t0 = perf_counter_ns()
+        self._check_params(chromosome.params)
+        result = self._result(self._measure_one(chromosome), threshold)
+        _obs.ENGINE_EVALS.inc()
+        _obs.ENGINE_EVAL_NS.inc(perf_counter_ns() - t0)
+        return result
+
+    def evaluate_batch(
+        self, chromosomes: Sequence[Chromosome], threshold: float
+    ) -> List[EvalResult]:
+        """Evaluate a population slice as one brood (see
+        :meth:`_measure_brood`); :meth:`evaluate` runs its candidate
+        the way a serial brood runs each of its own.
+
+        Returns one Eq. (1) result per candidate, in input order,
+        bit-identical to the interpreted objective's under either
+        schedule.
+        """
+        chromosomes = list(chromosomes)
+        if not chromosomes:
+            return []
+        t0 = perf_counter_ns()
+        for c in chromosomes:
+            self._check_params(c.params)
         result_of = self._result
-        results = [result_of(m, threshold) for m in measures]
-        _obs.ENGINE_EVALS.inc(n)
+        results = [
+            result_of(m, threshold) for m in self._measure_brood(chromosomes)
+        ]
+        _obs.ENGINE_EVALS.inc(len(results))
         _obs.ENGINE_EVAL_NS.inc(perf_counter_ns() - t0)
         return results
 
     def stats(self) -> dict:
-        """Engine counters for logging and benchmarks."""
-        omp = {"compiled": False, "threads": 1}
+        """Engine counters for logging and benchmarks.
+
+        ``omp["schedule"]`` is ``"threaded"`` when a runtime of this
+        evaluator dispatches its broods to the OpenMP team in this
+        process, else ``"serial"``.
+        """
+        omp = {"compiled": False, "threads": 1, "schedule": "serial"}
         if self._native is not None:
+            threaded = any(
+                rt is not None and rt.team() > 1
+                for rt in self._runtimes.values()
+            )
             omp = {
                 "compiled": self._native.omp_compiled(),
                 "threads": omp_threads(),
+                "schedule": "threaded" if threaded else "serial",
             }
         return {
             "backend": self.backend,

@@ -19,6 +19,8 @@ produce bit-identical results.  Speed comes from three things:
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .arena import BufferArena
@@ -26,54 +28,39 @@ from .opcodes import NUMPY_KERNELS
 
 __all__ = [
     "run_program",
-    "run_program_batch",
     "decode_values",
-    "decode_error",
-    "decode_error_batch",
+    "decode_error_lane",
 ]
 
 #: Per-bit weights for one byte group of the stacked bit-transpose.
 _POW2_8 = (np.uint16(1) << np.arange(8, dtype=np.uint16)).astype(np.uint16)
 
 
-def run_program(arena: BufferArena, n_ops: int) -> None:
+def run_program(
+    arena: BufferArena, n_ops: int, lane: Optional[int] = None
+) -> None:
     """Execute ``n_ops`` compiled operations over the arena rows.
 
-    The compiler guarantees a destination never aliases its operands, so
-    the two-step in-place kernels (NAND, ANDN, ...) are safe.
+    The program is the one compiled into the arena's own slabs, or into
+    batch slab row ``lane``; either way it runs in ``buf``, as every
+    candidate of a serial brood does in turn.  The compiler guarantees a
+    destination never aliases its operands, so the two-step in-place
+    kernels (NAND, ANDN, ...) are safe.
     """
     rows = arena.rows
     kernels = NUMPY_KERNELS
-    ops = arena.ops[:n_ops].tolist()
-    src_a = arena.src_a[:n_ops].tolist()
-    src_b = arena.src_b[:n_ops].tolist()
-    dst = arena.dst[:n_ops].tolist()
-    for op, a, b, d in zip(ops, src_a, src_b, dst):
+    if lane is None:
+        ops, src_a, src_b, dst = arena.ops, arena.src_a, arena.src_b, arena.dst
+    else:
+        ops, src_a, src_b, dst = (
+            arena.batch_ops[lane], arena.batch_src_a[lane],
+            arena.batch_src_b[lane], arena.batch_dst[lane],
+        )
+    for op, a, b, d in zip(
+        ops[:n_ops].tolist(), src_a[:n_ops].tolist(),
+        src_b[:n_ops].tolist(), dst[:n_ops].tolist(),
+    ):
         kernels[op](rows[a], rows[b], rows[d])
-
-
-def run_program_batch(arena: BufferArena, cand: int, n_ops: int) -> None:
-    """Execute batch candidate ``cand``'s compiled slab into its lane.
-
-    Identical op-by-op arithmetic to :func:`run_program`, but sources
-    resolve against the shared stimulus rows plus the candidate's
-    private lane (see :meth:`BufferArena.batch_rows`), and all stores
-    land in the lane — candidates never alias each other.
-    """
-    rows = arena.batch_rows(cand)
-    kernels = NUMPY_KERNELS
-    ops = arena.batch_ops[cand, :n_ops].tolist()
-    src_a = arena.batch_src_a[cand, :n_ops].tolist()
-    src_b = arena.batch_src_b[cand, :n_ops].tolist()
-    dst = arena.batch_dst[cand, :n_ops].tolist()
-    for op, a, b, d in zip(ops, src_a, src_b, dst):
-        kernels[op](rows[a], rows[b], rows[d])
-
-
-def _gather_planes(arena: BufferArena, n_bits: int) -> np.ndarray:
-    planes = arena.planes[:n_bits]
-    np.take(arena.buf, arena.out_slots[:n_bits], axis=0, out=planes)
-    return planes
 
 
 def _decode_planes(
@@ -109,62 +96,43 @@ def _decode_planes(
 
 
 def decode_values(
-    arena: BufferArena, n_bits: int, signed: bool
+    arena: BufferArena, n_bits: int, signed: bool,
+    lane: Optional[int] = None,
 ) -> np.ndarray:
     """Decode the output planes into per-vector integers (arena.values).
 
-    Equivalent to per-plane ``unpackbits`` + shift-accumulate but does a
-    single stacked bit-transpose over all planes.
+    The outputs are those of the program :func:`run_program` ran (the
+    arena's own, or slab row ``lane``'s).  Equivalent to per-plane
+    ``unpackbits`` + shift-accumulate but does a single stacked
+    bit-transpose over all planes.
     """
     values = arena.values
     if n_bits == 0:
         values.fill(0)
         return values
-    planes = _gather_planes(arena, n_bits)
+    out_slots = (
+        arena.out_slots if lane is None else arena.batch_out_slots[lane]
+    )
+    planes = arena.planes[:n_bits]
+    np.take(arena.buf, out_slots[:n_bits], axis=0, out=planes)
     return _decode_planes(planes, arena.num_vectors, n_bits, signed, values)
 
 
-def decode_error(
-    arena: BufferArena, n_bits: int, signed: bool, exact: np.ndarray
-) -> np.ndarray:
-    """Fused decode + ``|exact - value|`` into the int64 distance row.
-
-    ``exact`` is the int64 reference; ``|exact| < 2**62`` keeps every
-    distance below ``2**63``.
-    """
-    values = decode_values(arena, n_bits, signed)
-    err = arena.err
-    np.subtract(exact, values, out=err, dtype=np.int64)
-    np.absolute(err, out=err)
-    return err
-
-
-def decode_error_batch(
+def decode_error_lane(
     arena: BufferArena,
-    cand: int,
+    lane: int,
     n_bits: int,
     signed: bool,
     exact: np.ndarray,
 ) -> np.ndarray:
-    """Batch-candidate decode + error into ``arena.batch_err[cand]``.
+    """Decode + ``|exact - value|`` of slab row ``lane``'s program into
+    the int64 distance row ``arena.err``.
 
-    Bit-identical to :func:`decode_error` run after the same program:
-    the same stacked transpose and the same ``exact - value`` operand
-    order, just gathering planes from the candidate's lane (or the
-    shared stimulus, for outputs wired straight to a primary input).
+    ``exact`` is the int64 reference; ``|exact| < 2**62`` keeps every
+    distance below ``2**63``.
     """
-    err = arena.batch_err[cand]
-    if n_bits == 0:
-        values = arena.values
-        values.fill(0)
-    else:
-        rows = arena.batch_rows(cand)
-        planes = arena.planes[:n_bits]
-        for j, s in enumerate(arena.batch_out_slots[cand, :n_bits].tolist()):
-            planes[j] = rows[s]
-        values = _decode_planes(
-            planes, arena.num_vectors, n_bits, signed, arena.values
-        )
+    values = decode_values(arena, n_bits, signed, lane)
+    err = arena.err
     np.subtract(exact, values, out=err, dtype=np.int64)
     np.absolute(err, out=err)
     return err

@@ -37,7 +37,7 @@ import numpy as np
 __all__ = ["NativeLib", "native_lib", "native_available", "omp_threads"]
 
 #: Bump when C_SOURCE changes incompatibly (part of the .so cache key).
-_ABI_VERSION = 6
+_ABI_VERSION = 7
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -152,11 +152,11 @@ int32_t cgp_compile(const int64_t* genes, int32_t nn, int32_t ni, int32_t no,
     return n_total;
 }
 
-/* Slot -> row resolution shared by the single and batched entry points.
+/* Slot -> row resolution shared by cgp_kernel and cgp_eval_batch.
    Slots below ni are the shared packed stimulus; slot s >= ni is row
-   s - ni of the candidate's private scratch lane.  The single-candidate
-   arena is the degenerate case lane == arena + ni*W (one contiguous
-   buffer), so both paths execute byte-identically. */
+   s - ni of the candidate's private scratch lane.  cgp_kernel's arena
+   is the degenerate case lane == arena + ni*W (one contiguous buffer),
+   so both entries execute byte-identically. */
 static inline const uint64_t* src_row(const uint64_t* inputs,
                                       const uint64_t* lane,
                                       int32_t ni, int32_t W, int32_t s)
@@ -200,7 +200,7 @@ static void exec_program(const uint64_t* inputs, uint64_t* lane,
     }
 }
 
-/* Single-candidate entry point over one contiguous arena. */
+/* One program over one contiguous arena (the truth-table path). */
 void cgp_kernel(uint64_t* arena, int32_t ni, int32_t W, int32_t n_ops,
                 const int32_t* ops, const int32_t* sa, const int32_t* sb,
                 const int32_t* dst)
@@ -567,33 +567,6 @@ static void decode_reduce_planes(const uint64_t* const* planes,
                      wrow, wmask, stats);
 }
 
-void cgp_decode_err(const uint64_t* arena, int32_t W,
-                    const int32_t* out_slots, int32_t n_bits,
-                    int64_t num_vectors, int32_t do_sign, uint64_t* scratch,
-                    const int32_t* exact32, const int64_t* exact,
-                    int64_t* restrict err)
-{
-    const uint64_t* planes[ENGINE_MAX_BITS];
-    for (int32_t j = 0; j < n_bits; ++j)
-        planes[j] = arena + (size_t)out_slots[j] * W;
-    decode_err_planes(planes, n_bits, num_vectors, do_sign, scratch,
-                      exact32, exact, err);
-}
-
-void cgp_decode_reduce(const uint64_t* arena, int32_t W,
-                       const int32_t* out_slots, int32_t n_bits,
-                       int64_t num_vectors, int32_t do_sign,
-                       uint64_t* scratch, const int32_t* exact32,
-                       const int64_t* exact, const int64_t* wrow,
-                       int64_t wmask, int64_t* restrict stats)
-{
-    const uint64_t* planes[ENGINE_MAX_BITS];
-    for (int32_t j = 0; j < n_bits; ++j)
-        planes[j] = arena + (size_t)out_slots[j] * W;
-    decode_reduce_planes(planes, n_bits, num_vectors, do_sign, scratch,
-                         exact32, exact, wrow, wmask, stats);
-}
-
 /* One candidate of a batch: execute its program into its lane, then
    decode + error straight from the lane (or the shared inputs, for
    outputs wired directly to a primary input).  With stats non-NULL the
@@ -629,7 +602,8 @@ static void eval_candidate(const uint64_t* inputs, uint64_t* lane,
    of the same program), so with stride 0 the serial loop soundly reuses
    one lane for all candidates — a much smaller, cache-resident working
    set.  With OpenMP compiled in and nthreads > 1 the candidates are
-   split across a thread team (callers must then pass full strides).
+   split across a team of nthreads (callers must then pass full
+   strides); nthreads <= 1 runs them in order on the calling thread.
    Each candidate's arithmetic is identical either way (pure integer
    ops, no cross-candidate reads), so serial and parallel results match
    bit-for-bit.  Strides are in elements of the respective arrays.
@@ -648,40 +622,28 @@ void cgp_eval_batch(const uint64_t* inputs, uint64_t* lanes, int32_t ni,
                     int64_t* err, int64_t err_stride, int64_t* stats,
                     int32_t nthreads)
 {
-    int32_t nt = 1;
+#define EVAL_CANDIDATE(c)                                                 \
+    eval_candidate(inputs, lanes + (size_t)(c) * lane_stride_rows * W,    \
+                   ni, W, n_ops_arr[c], ops + (c) * prog_stride,          \
+                   sa + (c) * prog_stride, sb + (c) * prog_stride,        \
+                   dst + (c) * prog_stride, out_slots + (c) * out_stride, \
+                   n_bits, num_vectors, do_sign,                          \
+                   scratch + (c) * scratch_stride, exact32, exact, wrow,  \
+                   wmask, err + (c) * err_stride,                         \
+                   stats ? stats + ENGINE_STATS * (int64_t)(c) : 0)
 #ifdef _OPENMP
-    nt = nthreads > 0 ? nthreads : omp_get_max_threads();
+    if (nthreads > 1 && n_cand > 1) {
+#pragma omp parallel for schedule(static) num_threads(nthreads)
+        for (int32_t c = 0; c < n_cand; ++c)
+            EVAL_CANDIDATE(c);
+        return;
+    }
 #else
     (void)nthreads;
 #endif
-    if (nt > 1 && n_cand > 1) {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads(nt)
-        for (int32_t c = 0; c < n_cand; ++c)
-            eval_candidate(inputs,
-                           lanes + (size_t)c * lane_stride_rows * W, ni, W,
-                           n_ops_arr[c], ops + c * prog_stride,
-                           sa + c * prog_stride, sb + c * prog_stride,
-                           dst + c * prog_stride,
-                           out_slots + c * out_stride, n_bits,
-                           num_vectors, do_sign,
-                           scratch + c * scratch_stride, exact32, exact,
-                           wrow, wmask, err + c * err_stride,
-                           stats ? stats + ENGINE_STATS * (int64_t)c : 0);
-#endif
-    } else {
-        for (int32_t c = 0; c < n_cand; ++c)
-            eval_candidate(inputs,
-                           lanes + (size_t)c * lane_stride_rows * W, ni, W,
-                           n_ops_arr[c], ops + c * prog_stride,
-                           sa + c * prog_stride, sb + c * prog_stride,
-                           dst + c * prog_stride,
-                           out_slots + c * out_stride, n_bits,
-                           num_vectors, do_sign,
-                           scratch + c * scratch_stride, exact32, exact,
-                           wrow, wmask, err + c * err_stride,
-                           stats ? stats + ENGINE_STATS * (int64_t)c : 0);
-    }
+    for (int32_t c = 0; c < n_cand; ++c)
+        EVAL_CANDIDATE(c);
+#undef EVAL_CANDIDATE
 }
 
 int32_t cgp_omp_compiled(void)
@@ -811,14 +773,6 @@ class NativeLib:
         lib.cgp_kernel.argtypes = [_P, _I32, _I32, _I32, _P, _P, _P, _P]
         lib.cgp_decode.restype = None
         lib.cgp_decode.argtypes = [_P, _I32, _P, _I32, _I64, _I32, _P, _P]
-        lib.cgp_decode_err.restype = None
-        lib.cgp_decode_err.argtypes = [
-            _P, _I32, _P, _I32, _I64, _I32, _P, _P, _P, _P
-        ]
-        lib.cgp_decode_reduce.restype = None
-        lib.cgp_decode_reduce.argtypes = [
-            _P, _I32, _P, _I32, _I64, _I32, _P, _P, _P, _P, _I64, _P
-        ]
         lib.cgp_eval_batch.restype = None
         lib.cgp_eval_batch.argtypes = [
             _P, _P, _I32, _I32, _I32, _I32,      # inputs..n_cand
@@ -834,7 +788,8 @@ class NativeLib:
         lib.cgp_omp_max_threads.argtypes = []
         lib.cgp_init()
         self._lib = lib
-        #: Threads an ``nthreads=-1`` dispatch resolves to in C.
+        #: The OpenMP team size (``omp_get_max_threads``, which the
+        #: standard ``OMP_NUM_THREADS`` caps); 1 without OpenMP.
         self._omp_default = (
             int(lib.cgp_omp_max_threads())
             if lib.cgp_omp_compiled()
@@ -906,60 +861,6 @@ class NativeLib:
             num_vectors, int(signed), self._ptr(scratch), self._ptr(values),
         )
 
-    def decode_err(
-        self,
-        buf: np.ndarray,
-        words: int,
-        out_slots: np.ndarray,
-        n_bits: int,
-        num_vectors: int,
-        signed: bool,
-        scratch: np.ndarray,
-        exact32,
-        exact: np.ndarray,
-        err: np.ndarray,
-    ) -> None:
-        """Decode + int64 distance row against the int64 ``exact``.
-
-        ``exact32`` (the reference as int32, or 0) selects the narrow
-        AVX2 loop for buses of at most 16 bits; pass it only when the
-        reference leaves int32 headroom for the subtraction.
-        """
-        self._lib.cgp_decode_err(
-            self._ptr(buf), words, self._ptr(out_slots), n_bits,
-            num_vectors, int(signed), self._ptr(scratch),
-            self._ptr(exact32), self._ptr(exact), self._ptr(err),
-        )
-
-    def decode_reduce(
-        self,
-        buf: np.ndarray,
-        words: int,
-        out_slots: np.ndarray,
-        n_bits: int,
-        num_vectors: int,
-        signed: bool,
-        scratch: np.ndarray,
-        exact32,
-        exact: np.ndarray,
-        weight_row: np.ndarray,
-        weight_mask: int,
-        stats: np.ndarray,
-    ) -> None:
-        """Decode + reduce into the five decode statistics.
-
-        ``stats`` receives ``(Σ|d|, #{d != 0}, max|d|, Σ W·|d|,
-        Σ W·[d != 0])`` with ``W[v] = weight_row[v & weight_mask]``;
-        ``weight_mask`` 0 means uniform weights ``weight_row[0]``.
-        ``exact32`` picks the loop as in :meth:`decode_err`.
-        """
-        self._lib.cgp_decode_reduce(
-            self._ptr(buf), words, self._ptr(out_slots), n_bits,
-            num_vectors, int(signed), self._ptr(scratch),
-            self._ptr(exact32), self._ptr(exact), self._ptr(weight_row),
-            weight_mask, self._ptr(stats),
-        )
-
     def eval_batch(
         self,
         inputs,
@@ -993,21 +894,21 @@ class NativeLib:
         """Evaluate ``n_cand`` compiled programs in one native call.
 
         Array arguments may be ndarrays or precomputed raw addresses;
-        strides are in elements.  ``nthreads`` follows the C contract:
-        1 forces the serial loop, N > 1 requests an OpenMP team of N,
-        and -1 defers to the library default.  ``lane_stride_rows`` (and
-        ``scratch_stride``) may be 0 only on the serial path, where all
-        candidates soundly reuse one lane.  ``err`` rows receive int64
-        distances against the int64 ``exact``; ``exact32`` picks the
-        decode loop as in :meth:`decode_err`.  A non-zero ``stats``
-        points at an
-        ``(n_cand, 5)`` int64 buffer receiving each
-        candidate's ``(Σ|d|, #{d != 0}, max|d|, Σ W·|d|, Σ W·[d != 0])``
-        over the weights ``weight_row``/``weight_mask`` (see
-        :meth:`decode_reduce`); the err rows then stay untouched.
+        strides are in elements.  ``nthreads`` > 1 splits the candidates
+        across an OpenMP team of that size; 1 runs the serial loop.
+        ``lane_stride_rows`` (and ``scratch_stride``) may be 0 only on
+        the serial path, where all candidates soundly reuse one lane.
+        ``err`` rows receive int64 distances against the int64
+        ``exact``; ``exact32`` (the reference as int32, or 0) selects the
+        narrow AVX2 decode loop for buses of at most 16 bits — pass it
+        only when the reference leaves int32 headroom for the
+        subtraction.  A non-zero ``stats`` points at an ``(n_cand, 5)``
+        int64 buffer receiving each candidate's ``(Σ|d|, #{d != 0},
+        max|d|, Σ W·|d|, Σ W·[d != 0])`` with ``W[v] =
+        weight_row[v & weight_mask]`` (``weight_mask`` 0: uniform
+        weights ``weight_row[0]``); the err rows then stay untouched.
         """
-        effective = self._omp_default if nthreads < 0 else nthreads
-        if effective > 1 and n_cand > 1:
+        if nthreads > 1 and n_cand > 1:
             _mark_omp_team_used()
         self._lib.cgp_eval_batch(
             self._ptr(inputs), self._ptr(lanes), num_inputs,
@@ -1024,9 +925,6 @@ class NativeLib:
     def omp_compiled(self) -> bool:
         """Whether the loaded .so was built with ``-fopenmp``."""
         return bool(self._lib.cgp_omp_compiled())
-
-    def omp_max_threads(self) -> int:
-        return int(self._lib.cgp_omp_max_threads())
 
 
 _lock = threading.Lock()
@@ -1076,34 +974,18 @@ def _mark_omp_team_used() -> None:
 
 
 def omp_threads() -> int:
-    """Effective thread request for batched native dispatch.
+    """The OpenMP team size batched native dispatch can use.
 
-    Resolves the ``REPRO_OMP`` environment knob against the loaded
-    library's capabilities:
-
-    - ``0`` / ``off`` / ``false`` / ``no``: force the serial loop (1).
-    - a positive integer ``N``: request exactly ``N`` threads.
-    - unset / ``auto`` / ``on``: the OpenMP library default
-      (``omp_get_max_threads`` of the loaded .so).
-
-    Always returns a concrete count (>= 1) so callers can pick buffer
-    strides up front; 1 whenever the .so lacks OpenMP or this process
-    is a forked child of one that already ran a team (see
-    ``_omp_team_pid``).  The serial and threaded paths are bit-identical
-    by construction, so this only ever affects wall-clock.
+    ``omp_get_max_threads`` of the loaded library, which the standard
+    ``OMP_NUM_THREADS`` caps; 1 when the .so lacks OpenMP, when no
+    native backend loads, or in a forked child of a process that
+    already ran a team (see ``_omp_team_pid``).  Whether a brood uses
+    the team is each runtime's decision (``repro.engine.evaluator``);
+    the serial and threaded loops are bit-identical by construction.
     """
-    raw = os.environ.get("REPRO_OMP", "").strip().lower()
-    if raw in ("0", "off", "false", "no"):
-        return 1
     lib = native_lib()
     if lib is None or not lib.omp_compiled():
         return 1
     if _omp_team_pid is not None and _omp_team_pid != os.getpid():
         return 1
-    if raw in ("", "auto", "on"):
-        return lib._omp_default
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+    return lib._omp_default

@@ -6,6 +6,19 @@ import pytest
 from repro.cli import main, parse_distribution
 
 
+def _chromosome_text(path):
+    """The chromosome of an ``evolve --output`` file, below its record
+    line."""
+    record, chromosome = path.read_text().split("\n", 1)
+    assert record.startswith("# component=")
+    return chromosome
+
+
+def _drop_record(path):
+    """Rewrite ``path`` as files written without a record line are."""
+    path.write_text(_chromosome_text(path))
+
+
 def test_parse_distribution_variants():
     assert parse_distribution("uniform", 8, False).name == "Du"
     assert parse_distribution("d1", 8, False).name == "D1"
@@ -36,8 +49,7 @@ def test_cli_evolve_and_characterize(tmp_path, capsys):
         ]
     )
     assert code == 0
-    text = out.read_text()
-    assert text.startswith("{6,6,")
+    assert _chromosome_text(out).startswith("{6,6,")
 
     code = main(["characterize", str(out), "--dist", "uniform"])
     assert code == 0
@@ -91,9 +103,11 @@ def test_cli_evolve_and_characterize_adder(tmp_path, capsys):
     assert code == 0
     # Adder interface: 8 inputs -> 5 outputs (the old multiplier-only
     # characterize assumed no == ni and produced garbage here).
-    assert out.read_text().startswith("{8,5,")
+    assert _chromosome_text(out).startswith("{8,5,")
     # The 2w -> w+1 shape is shared with the subtractor, so auto
-    # inference must refuse; the explicit component characterizes fine.
+    # inference must refuse (without the record line); the explicit
+    # component characterizes fine.
+    _drop_record(out)
     code = main(["characterize", str(out), "--component", "adder"])
     assert code == 0
     captured = capsys.readouterr().out
@@ -109,6 +123,7 @@ def test_cli_characterize_rejects_ambiguous_interface(tmp_path):
         ["evolve", "--component", "adder", "--width", "3",
          "--wmed-percent", "0", "--generations", "5", "--output", str(out)]
     )
+    _drop_record(out)
     with pytest.raises(SystemExit) as err:
         main(["characterize", str(out)])
     message = str(err.value)
@@ -125,7 +140,8 @@ def test_cli_characterize_rejects_ambiguous_divider_shifter(tmp_path):
         ["evolve", "--component", "divider", "--width", "2",
          "--wmed-percent", "0", "--generations", "5", "--output", str(out)]
     )
-    assert out.read_text().startswith("{4,2,")
+    assert _chromosome_text(out).startswith("{4,2,")
+    _drop_record(out)
     with pytest.raises(SystemExit) as err:
         main(["characterize", str(out)])
     message = str(err.value)
@@ -146,7 +162,7 @@ def test_cli_evolve_and_characterize_mac(tmp_path, capsys):
         ]
     )
     assert code == 0
-    assert out.read_text().startswith("{9,5,")  # 2w + (2w+1) -> 2w+1
+    assert _chromosome_text(out).startswith("{9,5,")  # 2w + (2w+1) -> 2w+1
     code = main(["characterize", str(out)])
     assert code == 0
     captured = capsys.readouterr().out
@@ -159,8 +175,60 @@ def test_cli_characterize_component_mismatch(tmp_path):
         ["evolve", "--component", "adder", "--width", "3",
          "--wmed-percent", "0", "--generations", "5", "--output", str(out)]
     )
-    with pytest.raises(SystemExit):
+    _drop_record(out)
+    with pytest.raises(SystemExit, match="does not match"):
         main(["characterize", str(out), "--component", "multiplier"])
+
+
+def test_cli_characterize_reads_the_recorded_objective(tmp_path, capsys):
+    """Regression: an unsigned D2 multiplier characterized without flags
+    was decoded signed under the uniform law (WMED=82.4051% for a 0.4832%
+    design).  The file now records the objective it was evolved under."""
+    out = tmp_path / "m6.chr"
+    code = main(
+        ["evolve", "--width", "6", "--unsigned", "--dist", "d2",
+         "--wmed-percent", "0.5", "--generations", "3000", "--seed", "3",
+         "--output", str(out)]
+    )
+    assert code == 0
+    assert "error=0.4832%" in capsys.readouterr().err
+    assert out.read_text().startswith(
+        "# component=multiplier signedness=unsigned dist=d2 metric=wmed\n"
+    )
+    assert main(["characterize", str(out)]) == 0
+    report = capsys.readouterr().out
+    assert "component: multiplier (width 6, unsigned)" in report
+    assert "WMED=0.4832%" in report
+    # Flags that agree with the record (in any spelling) are accepted.
+    assert main(["characterize", str(out), "--unsigned", "--dist", "D2"]) == 0
+    assert "WMED=0.4832%" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--dist", "uniform"], ("dist=d2", "--dist asks for dist=uniform")),
+    (["--component", "divider"], ("component=multiplier",
+                                  "component=divider")),
+])
+def test_cli_characterize_refuses_flags_contradicting_the_record(
+    tmp_path, flags, named
+):
+    out = tmp_path / "m3.chr"
+    main(["evolve", "--width", "3", "--unsigned", "--dist", "d2",
+          "--wmed-percent", "0", "--generations", "5", "--output", str(out)])
+    with pytest.raises(SystemExit) as err:
+        main(["characterize", str(out), *flags])
+    assert all(part in str(err.value) for part in named)
+
+
+def test_cli_characterize_refuses_unsigned_for_a_signed_record(tmp_path):
+    out = tmp_path / "m3.chr"
+    main(["evolve", "--width", "3", "--wmed-percent", "0",
+          "--generations", "5", "--output", str(out)])
+    with pytest.raises(
+        SystemExit, match="signedness=signed; --unsigned asks for "
+        "signedness=unsigned",
+    ):
+        main(["characterize", str(out), "--unsigned"])
 
 
 def test_cli_rejects_oversized_mac():
@@ -189,7 +257,7 @@ def test_cli_evolve_and_characterize_new_components(
         ]
     )
     assert code == 0
-    assert out.read_text().startswith(interface)
+    assert _chromosome_text(out).startswith(interface)
     code = main(["characterize", str(out), "--component", component])
     assert code == 0
     captured = capsys.readouterr().out

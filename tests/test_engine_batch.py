@@ -3,15 +3,18 @@
 The batch path's contract is the same as the engine's overall: *bit
 identical* to evaluating sequentially — same compiled programs, same
 integer kernels, same reductions — whatever the component, metric,
-backend, or brood composition (duplicates, cache hits).  On top of
-that sit the batch-specific behaviors: within-batch phenotype dedupe,
-the eval-cache lookup that prevents recompiled cache-miss storms, the
-single-owner arena guard, the ``REPRO_OMP`` knob, and the exact-integer
-decode statistics every metric but mred reduces from.
+backend, schedule (the fused OpenMP call or the serial chunked loop),
+or brood composition (duplicates, cache hits).  On top of that sit the
+batch-specific behaviors: within-batch phenotype dedupe, the eval-cache
+lookup that prevents recompiled cache-miss storms, the single-owner
+arena guard, the rule each runtime picks its schedule by, and the
+exact-integer decode statistics every metric but mred reduces from.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import multiprocessing
 import threading
 
 import numpy as np
@@ -29,6 +32,7 @@ from repro.engine import (
     CompiledSampledObjective,
     native_available,
 )
+from repro.engine import evaluator as engine_evaluator
 from repro.engine.native import omp_threads
 from repro.errors.distributions import (
     discretized_half_normal,
@@ -37,7 +41,28 @@ from repro.errors.distributions import (
 )
 
 BACKENDS = ["numpy"] + (["native"] if native_available() else [])
+#: Evaluation paths: the numpy backend, and the native backend under
+#: each brood schedule ("native" forces the serial chunked loop,
+#: "native-threaded" the fused OpenMP call).
+PATHS = BACKENDS + (["native-threaded"] if native_available() else [])
 METRICS = ("wmed", "med", "mred", "error-rate", "worst-case")
+
+
+def _use_path(path, monkeypatch):
+    """The backend of ``path``; runtimes built from here on take the
+    path's schedule at any stimulus size."""
+    backend, _, schedule = path.partition("-")
+    min_words = 1 << 62
+    if schedule == "threaded":
+        if omp_threads() < 2:
+            pytest.skip("the native library has no OpenMP team")
+        min_words = 1
+    monkeypatch.setattr(engine_evaluator, "_THREADED_MIN_WORDS", min_words)
+    return backend
+
+
+def _schedule_of(path):
+    return "threaded" if path.endswith("-threaded") else "serial"
 
 
 def _seed_chromosome(component: str, width: int, extra: int = 8):
@@ -69,21 +94,57 @@ def _brood(component, width, n, seed=11):
 # ----------------------------------------------------------------------
 # Bit-identity: batch vs sequential, across the whole catalog
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("component", component_names())
-def test_batch_bit_identical_to_sequential(component, metric, backend):
+def test_batch_bit_identical_to_sequential(
+    component, metric, path, monkeypatch
+):
+    backend = _use_path(path, monkeypatch)
     width = 3 if component == "mac" else 4
     brood = _brood(component, width, 8)
     brood.append(brood[0])  # in-batch duplicate phenotype
     batch_obj = _objective(component, width, metric, backend)
     seq_obj = _objective(component, width, metric, backend)
     batched = batch_obj.evaluate_batch(brood, 0.05)
+    # A lone evaluate() always runs serial.
     sequential = [seq_obj.evaluate(c, 0.05) for c in brood]
     assert batched == sequential
+    assert batch_obj.stats()["omp"]["schedule"] == _schedule_of(path)
     # Second pass is fully cache-served and still identical.
     assert batch_obj.evaluate_batch(brood, 0.05) == sequential
     assert batch_obj.cache.stats()["hits"] >= len(brood)
+    # And both equal the interpreted objective.
+    interpreted = component_objective(
+        component, width, uniform(width), metric=metric
+    )
+    assert sequential == [interpreted.evaluate(c, 0.05) for c in brood]
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_sampled_batch_bit_identical_to_sequential(path, monkeypatch):
+    # Sampled estimates reduce the materialized distance row, so the
+    # threaded call's private error rows must match the serial loop's
+    # reused one — value, area and both confidence bounds.
+    backend = _use_path(path, monkeypatch)
+    dist = distribution_from_spec("d2", 6, False)
+    spec = SampleSpec(256, 4, seed=3)
+
+    def sampled():
+        return sampled_component_objective("multiplier", 6, dist, spec)
+
+    brood = _brood("multiplier", 6, 8, seed=4)
+    brood.append(brood[1])  # in-batch duplicate phenotype
+    batch_obj = CompiledSampledObjective(
+        sampled(), backend=backend, cache_entries=0
+    )
+    seq_obj = CompiledSampledObjective(sampled(), backend=backend)
+    batched = batch_obj.evaluate_batch(brood, 0.02)
+    assert batch_obj.stats()["omp"]["schedule"] == _schedule_of(path)
+    sequential = [seq_obj.evaluate(c, 0.02) for c in brood]
+    assert batched == sequential
+    assert sequential == [sampled().evaluate(c, 0.02) for c in brood]
+    assert all(r.ci_low <= r.wmed <= r.ci_high for r in batched)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -165,28 +226,95 @@ def test_arena_rejects_cross_thread_use():
 
 
 # ----------------------------------------------------------------------
-# REPRO_OMP knob
+# The schedule rule: threaded only for large stimuli in a main thread
 # ----------------------------------------------------------------------
-def test_repro_omp_off_forces_serial_and_identical_results(monkeypatch):
-    brood = _brood("multiplier", 4, 6, seed=9)
-    default = _objective("multiplier", 4, "wmed", "auto")
-    expected = default.evaluate_batch(brood, 0.01)
-    monkeypatch.setenv("REPRO_OMP", "0")
-    assert omp_threads() == 1
-    serial = _objective("multiplier", 4, "wmed", "auto")
-    assert serial.evaluate_batch(brood, 0.01) == expected
+def _schedule_after_a_brood(obj, width):
+    obj.evaluate_batch(_brood("multiplier", width, 4, seed=8), 0.01)
+    return obj.stats()["omp"]["schedule"]
 
 
-def test_omp_threads_always_concrete(monkeypatch):
-    for raw, expect_one in (("0", True), ("off", True), ("no", True),
-                            ("false", True), ("1", True)):
-        monkeypatch.setenv("REPRO_OMP", raw)
-        n = omp_threads()
-        assert n >= 1
-        if expect_one:
-            assert n == 1
-    monkeypatch.delenv("REPRO_OMP")
-    assert omp_threads() >= 1  # auto resolves to a concrete count
+def _exhaustive_d2(width, backend="auto"):
+    return CompiledObjective(
+        component_objective(
+            "multiplier", width, distribution_from_spec("d2", width, False)
+        ),
+        backend=backend,
+    )
+
+
+def _width8_schedule():
+    """A width-8 exhaustive objective's schedule (pool-worker target)."""
+    return _schedule_after_a_brood(_exhaustive_d2(8), 8)
+
+
+@pytest.mark.skipif(not native_available(), reason="native backend only")
+def test_width8_exhaustive_runs_threaded_in_the_main_thread():
+    if omp_threads() < 2:
+        pytest.skip("the native library has no OpenMP team")
+    obj = _exhaustive_d2(8)
+    brood = _brood("multiplier", 8, 8, seed=8)
+    threaded = obj.evaluate_batch(brood, 0.01)
+    assert obj.stats()["omp"]["schedule"] == "threaded"
+    # Candidates long enough to overlap on the team still equal the
+    # serial brood-of-one results.
+    serial = _exhaustive_d2(8)
+    assert [serial.evaluate(c, 0.01) for c in brood] == threaded
+
+
+@pytest.mark.skipif(not native_available(), reason="native backend only")
+def test_runtime_runs_serial_outside_the_process_that_built_it():
+    # libgomp's team does not survive fork(): a forked copy of a
+    # threaded runtime must dispatch serial, with the same results.
+    if omp_threads() < 2:
+        pytest.skip("the native library has no OpenMP team")
+    obj = _exhaustive_d2(8)
+    brood = _brood("multiplier", 8, 4, seed=8)
+    threaded = obj.evaluate_batch(brood, 0.01)
+    assert obj.stats()["omp"]["schedule"] == "threaded"
+    (rt,) = obj._runtimes.values()
+    rt.pid = -1  # the building process, as a forked child sees it
+    assert rt.team() == 1
+    assert obj.stats()["omp"]["schedule"] == "serial"
+    obj.cache.clear()
+    assert obj.evaluate_batch(brood, 0.01) == threaded
+
+
+@pytest.mark.skipif(not native_available(), reason="native backend only")
+def test_width6_exhaustive_runs_serial():
+    assert _schedule_after_a_brood(_exhaustive_d2(6), 6) == "serial"
+
+
+@pytest.mark.skipif(not native_available(), reason="native backend only")
+def test_sampled_512x4_runs_serial():
+    obj = CompiledSampledObjective(
+        sampled_component_objective(
+            "multiplier", 16, distribution_from_spec("d2", 16, False),
+            SampleSpec(512, 4, seed=0),
+        )
+    )
+    assert _schedule_after_a_brood(obj, 16) == "serial"
+
+
+def test_numpy_backend_runs_serial():
+    assert _schedule_after_a_brood(_exhaustive_d2(8, "numpy"), 8) == "serial"
+
+
+@pytest.mark.skipif(not native_available(), reason="native backend only")
+def test_process_pool_worker_runs_serial():
+    # A spawned worker has never run a team, so only the
+    # multiprocessing-child rule keeps it serial.
+    ctx = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(1, mp_context=ctx) as pool:
+        assert pool.submit(_width8_schedule).result(timeout=120) == "serial"
+
+
+@pytest.mark.skipif(not native_available(), reason="native backend only")
+def test_worker_thread_runs_serial():
+    out = []
+    t = threading.Thread(target=lambda: out.append(_width8_schedule()))
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive() and out == ["serial"]
 
 
 # ----------------------------------------------------------------------
@@ -242,10 +370,12 @@ def test_weighted_stats_equal_int64_dot_of_materialized_distances(
     assert int(counts.sum()) == obj.integer_weights.total
     rt = obj._runtime(_seed_chromosome("multiplier", width).params)
     brood = _brood("multiplier", width, 6, seed=21)
-    for ch in brood:
-        n_ops = rt.compile(ch.genes)
-        rt.execute(n_ops)
-        d = rt.error(obj.signed).copy()
+    rt.ensure_batch(len(brood))
+    for k, ch in enumerate(brood):
+        rt.compile_into_lane(ch.genes, k)
+    wants = []
+    for k in range(len(brood)):
+        d = rt.execute_lane(k, obj.signed).copy()
         assert d.dtype == np.int64
         want = [
             int(d.sum()), int(np.count_nonzero(d)), int(d.max()),
@@ -254,19 +384,9 @@ def test_weighted_stats_equal_int64_dot_of_materialized_distances(
         ]
         assert obj.integer_weights.stats(d) == want
         if backend == "native":
-            assert rt.reduce_stats(obj.signed) == want
-            rt.ensure_batch(1)
-            rt.compile_into_lane(ch.genes, 0)
-            assert rt.execute_lane_stats(0, obj.signed) == want
+            assert rt.execute_lane_stats(k, obj.signed) == want
+        wants.append(want)
     if backend == "native":
         # The fused multi-candidate dispatch writes the same rows.
-        rt.ensure_batch(len(brood))
-        for k, ch in enumerate(brood):
-            rt.compile_into_lane(ch.genes, k)
         rt.execute_batch(len(brood), obj.signed, 2, stats=True)
-        fused = rt.arena.batch_stats[: len(brood)].tolist()
-        single = []
-        for ch in brood:
-            rt.execute(rt.compile(ch.genes))
-            single.append(rt.reduce_stats(obj.signed))
-        assert fused == single
+        assert rt.arena.batch_stats[: len(brood)].tolist() == wants

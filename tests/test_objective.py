@@ -362,8 +362,9 @@ def test_cache_key_distinguishes_objectives(rng):
         rt = eng._runtime(chrom.params)
         if rt is None:  # pragma: no cover - engine unavailable
             pytest.skip("engine runtime unavailable")
-        n_ops = rt.compile(chrom.genes)
-        sigs.add(rt.signature(n_ops))
+        rt.ensure_batch(1)
+        n_ops = rt.compile_into_lane(chrom.genes, 0)
+        sigs.add(rt.lane_signature(0, n_ops))
     assert len(sigs) == len(evaluators)
 
 

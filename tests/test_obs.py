@@ -327,6 +327,10 @@ def test_engine_stats_shape_and_registry_deltas():
         "omp",
     }
     assert set(stats["batch"]) == {"calls", "evals", "dedup"}
+    # The brood schedule the runtime picked (a width-W stimulus is too
+    # small for the OpenMP team).
+    assert set(stats["omp"]) == {"compiled", "threads", "schedule"}
+    assert stats["omp"]["schedule"] == "serial"
     # Every evaluation ran compiled: no fallback reason to list.
     assert stats["fallback"] == []
     assert set(stats["cache"]) == {

@@ -4,8 +4,9 @@ Two contracts:
 
 * parity — sampled objectives whose output buses are wider than 16 bits
   (up to the multiplier's 62 at width 31) run on the compiled engine,
-  single and batched, on both backends, and equal the interpreter bit
-  for bit: value, area and both confidence bounds;
+  single and batched, on both backends and (natively) under both brood
+  schedules, and equal the interpreter bit for bit: value, area and
+  both confidence bounds;
 * the reference the engine now trusts at those widths — each
   component's closed-form ``reference_at`` — equals a gate-by-gate
   simulation of the component's exact seed netlist
@@ -23,9 +24,17 @@ from repro.core import COMPONENTS, SampleSpec, netlist_to_chromosome
 from repro.core.components import sampled_component_objective
 from repro.core.mutation import mutate
 from repro.engine import CompiledSampledObjective, native_available
+from repro.engine import evaluator as engine_evaluator
+from repro.engine.native import omp_threads
 from repro.errors.distributions import paper_d2, uniform
 
 BACKENDS = ["numpy"] + (["native"] if native_available() else [])
+#: (backend, schedule) pairs: the threaded schedule is forced at these
+#: small stimuli by dropping the engine's words-per-plane threshold.
+SCHEDULES = [(backend, "serial") for backend in BACKENDS] + (
+    [("native", "threaded")]
+    if native_available() and omp_threads() > 1 else []
+)
 
 #: (component, width, signed): output buses of 17 to 62 bits.
 WIDE_CASES = [
@@ -73,7 +82,7 @@ def _measure(result):
     ids=[f"{c}-{w}-{'s' if s else 'u'}" for c, w, s in WIDE_CASES],
 )
 def test_wide_sampled_engine_equals_interpreter(
-    component, width, signed, metric
+    component, width, signed, metric, monkeypatch
 ):
     def build():
         return sampled_component_objective(
@@ -85,7 +94,11 @@ def test_wide_sampled_engine_equals_interpreter(
     assert chroms[0].params.num_outputs > 16
     want = [_measure(interpreted.evaluate(c, 0.01)) for c in chroms]
     tables = [interpreted.truth_table(c) for c in chroms]
-    for backend in BACKENDS:
+    for backend, schedule in SCHEDULES:
+        monkeypatch.setattr(
+            engine_evaluator, "_THREADED_MIN_WORDS",
+            1 if schedule == "threaded" else 1 << 62,
+        )
         single = CompiledSampledObjective(build(), backend=backend)
         assert [_measure(single.evaluate(c, 0.01)) for c in chroms] == want
         batch = CompiledSampledObjective(build(), backend=backend)
@@ -96,6 +109,7 @@ def test_wide_sampled_engine_equals_interpreter(
             assert np.array_equal(single.truth_table(chrom), table)
         stats = batch.stats()
         assert stats["backend"] == backend
+        assert stats["omp"]["schedule"] == schedule
         assert stats["batch"]["calls"] > 0
         assert stats["fallback"] == []
 
