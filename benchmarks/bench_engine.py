@@ -6,7 +6,9 @@ Measures, for one operand width:
 * **single-candidate evaluation** — the interpreted
   ``MultiplierFitness`` path vs. the engine with caching disabled (every
   evaluation compiles + simulates + decodes from scratch) and vs. the
-  engine's cache-hit path;
+  engine's cache-hit path, each pair timed in interleaved rounds; the
+  speedups are medians of the per-round ratios, so a host slowdown that
+  spans a round moves both sides of the ratio alike;
 * **brood schedules** — ``evaluate_batch`` over pre-drawn (1 + lambda)
   broods under both brood schedules, forced through each runtime (the
   fused OpenMP call and the serial chunked loop), at 32, 64, 128, 256
@@ -17,8 +19,9 @@ Measures, for one operand width:
 * **end-to-end evolution** — ``evolve()`` wall time and evaluations/s
   under both evaluators with the same RNG seed, asserting the
   ``(wmed, area)`` trajectories and final errors are identical (the
-  engine must change throughput, never results) and recording the
-  phenotype-cache hit rate of the run; once under the uniform law and
+  engine must change throughput, never results) and that every
+  candidate the run evaluated ran a kernel lane (no brood candidate is
+  served by a cache or a dedupe); once under the uniform law and
   once under the paper's D2 (the non-uniform weights of Case Study 1,
   width 6 under ``--smoke``, 8 in full runs), with repeated engine runs
   so the evals/s spread is visible;
@@ -92,16 +95,34 @@ DEFAULT_OUT = os.path.join(
 )
 
 
-def _time_ms(fn, reps: int, rounds: int) -> float:
-    """Median over ``rounds`` of the mean ms across ``reps`` calls."""
-    fn()  # warmup
-    samples = []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            fn()
-        samples.append((time.perf_counter() - t0) / reps * 1e3)
-    return statistics.median(samples)
+def _time_pair_ms(base, other, reps: int, rounds: int) -> tuple:
+    """Interleaved timing of two callables.
+
+    Each of ``rounds`` rounds times ``reps`` calls of each, alternating
+    which goes first.  Returns the median mean-ms of ``base``, of
+    ``other``, and the median of the per-round ``base / other`` ratios.
+    """
+    base()  # warmup
+    other()
+    base_ms, other_ms, ratios = [], [], []
+    for r in range(rounds):
+        pair = {}
+        order = [("base", base), ("other", other)]
+        if r % 2:
+            order.reverse()
+        for name, fn in order:
+            t0 = time.perf_counter()
+            for _ in range(reps):
+                fn()
+            pair[name] = (time.perf_counter() - t0) / reps * 1e3
+        base_ms.append(pair["base"])
+        other_ms.append(pair["other"])
+        ratios.append(pair["base"] / pair["other"])
+    return (
+        statistics.median(base_ms),
+        statistics.median(other_ms),
+        statistics.median(ratios),
+    )
 
 
 def bench_single_eval(width: int, reps: int, rounds: int) -> dict:
@@ -120,15 +141,19 @@ def bench_single_eval(width: int, reps: int, rounds: int) -> dict:
         c.invalidate_cache()
         return c
 
-    baseline_ms = _time_ms(
-        lambda: baseline.evaluate(fresh(), threshold), reps, rounds
-    )
-    engine_ms = _time_ms(
-        lambda: engine_cold.evaluate(fresh(), threshold), reps, rounds
+    def run_baseline():
+        baseline.evaluate(fresh(), threshold)
+
+    baseline_ms, engine_ms, speedup = _time_pair_ms(
+        run_baseline,
+        lambda: engine_cold.evaluate(fresh(), threshold),
+        reps, rounds,
     )
     engine_cached.evaluate(chrom, threshold)  # populate the cache
-    cached_ms = _time_ms(
-        lambda: engine_cached.evaluate(fresh(), threshold), reps, rounds
+    _, cached_ms, cached_speedup = _time_pair_ms(
+        run_baseline,
+        lambda: engine_cached.evaluate(fresh(), threshold),
+        reps, rounds,
     )
 
     # Equivalence spot check on the measured candidate.
@@ -140,8 +165,10 @@ def bench_single_eval(width: int, reps: int, rounds: int) -> dict:
         "baseline_ms": round(baseline_ms, 4),
         "engine_ms": round(engine_ms, 4),
         "engine_cached_ms": round(cached_ms, 4),
-        "speedup": round(baseline_ms / engine_ms, 2),
-        "cached_speedup": round(baseline_ms / cached_ms, 2),
+        "rounds": rounds,
+        "reps": reps,
+        "speedup": round(speedup, 2),
+        "cached_speedup": round(cached_speedup, 2),
         "bit_identical": rb == re,
     }
 
@@ -279,8 +306,9 @@ def bench_evolve(
 
     ``dist`` defaults to the uniform law.  The interpreted baseline runs
     once; the engine runs :data:`EVOLVE_REPEATS` times, each on a fresh
-    evaluator (cold cache), and every repeat must reproduce the
-    baseline's trajectory, final chromosome and final error exactly.
+    evaluator, and every repeat must reproduce the baseline's
+    trajectory, final chromosome and final error exactly, with every
+    brood candidate run on a kernel lane.
     Evals/s is reported per repeat and as their median.
     """
     net = build_array_multiplier(width)
@@ -314,10 +342,14 @@ def bench_evolve(
         res.best_eval.error == base_res.best_eval.error
         for res, _, _ in engine_runs
     )
+    # The seed parent is evaluated alone; every other evaluation is a
+    # brood candidate and must have run a lane.
+    every_candidate_ran_a_lane = all(
+        evaluator.stats()["batch"]["evals"] == res.evaluations - 1
+        for res, _, evaluator in engine_runs
+    )
     eng_res, _, eng_eval = engine_runs[0]
     eng_s = statistics.median(s for _, s, _ in engine_runs)
-    cache = eng_eval.stats()["cache"]
-    lookups = cache["hits"] + cache["misses"]
     # Thin the archived trajectory to <= 50 points.
     step = max(1, len(eng_res.history) // 50)
     return {
@@ -327,8 +359,7 @@ def bench_evolve(
         "seed": seed,
         "threshold": threshold,
         "repeats": EVOLVE_REPEATS,
-        "cache_hits": cache["hits"],
-        "cache_hit_rate": round(cache["hits"] / lookups, 4) if lookups else 0.0,
+        "every_candidate_ran_a_lane": every_candidate_ran_a_lane,
         "baseline_s": round(base_s, 3),
         "engine_s": round(eng_s, 3),
         "speedup": round(base_s / eng_s, 2),
@@ -412,10 +443,13 @@ def main(argv=None) -> int:
         help="brood size for the brood-schedule section",
     )
     ap.add_argument("--reps", type=int, default=30)
-    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument(
+        "--rounds", type=int, default=21,
+        help="interleaved rounds of the single-eval timing",
+    )
     ap.add_argument(
         "--smoke", action="store_true",
-        help="CI preset: width 6, 30 generations, reduced reps",
+        help="CI preset: width 6, 30 generations, 10 calls per round",
     )
     ap.add_argument(
         "--min-speedup", type=float, default=None,
@@ -445,7 +479,6 @@ def main(argv=None) -> int:
         args.width = min(args.width, 6)
         args.generations = min(args.generations, 30)
         args.reps = min(args.reps, 10)
-        args.rounds = min(args.rounds, 3)
         broods, passes = 40, 2
         args.sampled_generations = min(args.sampled_generations, 30)
         args.sampled_max_s = min(args.sampled_max_s, 120.0)
@@ -504,7 +537,8 @@ def main(argv=None) -> int:
             f" | engine {section['engine_s']} s ({section['speedup']}x)"
             f" | {section['engine_evals_per_s']} evals/s"
             f" (runs {section['engine_evals_per_s_runs']})"
-            f" | cache hit rate {section['cache_hit_rate']}"
+            f" | every candidate ran a lane:"
+            f" {section['every_candidate_ran_a_lane']}"
             f" | trajectories identical:"
             f" {section['trajectories_identical']}"
             f" | final errors identical:"
@@ -587,11 +621,10 @@ def main(argv=None) -> int:
                 f"{sampled['wall_s']} s, over the {args.sampled_max_s} s gate"
             )
             return 1
-    if not args.smoke and evo["cache_hits"] == 0:
-        # Regression tripwire for the eval-cache miss storm: at the
-        # full benchmark configuration neutral drift must revisit at
-        # least one phenotype (deterministic for a fixed seed).
-        print("FAIL: evolve run produced zero phenotype-cache hits")
+    if not all(
+        section["every_candidate_ran_a_lane"] for section in (evo, evo_d2)
+    ):
+        print("FAIL: an evaluated brood candidate did not run a lane")
         return 1
     return 0
 

@@ -23,8 +23,8 @@ All route candidate evaluation through the compiled engine
 (:mod:`repro.engine`) by default; pass ``engine="off"`` for the
 interpreted objective (results are bit-identical either way).  Inside
 every run, each generation's brood is evaluated through the engine's
-batched path (``CompiledObjective.evaluate_batch``: phenotype dedupe,
-cache lookup, then the ``cgp_eval_batch`` dispatch).  The sweep fans
+batched path (``CompiledObjective.evaluate_batch``: one compile per
+candidate, then the ``cgp_eval_batch`` dispatch).  The sweep fans
 runs out over *processes/threads* here (one evaluator per worker —
 arenas are single-owner); that is the parallel axis.  An evaluator
 sends a brood to its *intra-brood* OpenMP team only in the main thread

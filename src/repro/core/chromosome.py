@@ -150,6 +150,9 @@ class Chromosome:
     _active_cache: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False
     )
+    _positions_cache: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         genes = np.asarray(self.genes, dtype=np.int64)
@@ -182,11 +185,32 @@ class Chromosome:
     def invalidate_cache(self) -> None:
         """Drop the cached active-node set (call after in-place edits)."""
         self._active_cache = None
+        self._positions_cache = None
+
+    def adopt_active_nodes(self, active: np.ndarray) -> None:
+        """Take ``active`` — ascending node indices, as :meth:`active_nodes`
+        returns them — as the active set instead of sweeping for it.
+
+        The evaluation engine hands over the set its compile just
+        marked; the caller vouches that it belongs to these genes.
+        """
+        self._active_cache = active
+        self._positions_cache = None
+
+    def inherit_active(self, parent: "Chromosome") -> None:
+        """Share ``parent``'s active set: valid when every gene in which
+        the two differ is inactive in ``parent`` (a neutral mutation)."""
+        self._active_cache = parent._active_cache
+        self._positions_cache = parent._positions_cache
 
     def active_nodes(self) -> np.ndarray:
         """Indices of nodes in the output cone, ascending (= topological)."""
-        if self._active_cache is not None:
-            return self._active_cache
+        if self._active_cache is None:
+            self._active_cache = self._sweep_active_nodes()
+        return self._active_cache
+
+    def _sweep_active_nodes(self) -> np.ndarray:
+        """The reverse sweep behind :meth:`active_nodes`."""
         p = self.params
         # Python ints and lists: indexing a numpy array one scalar at a
         # time costs several times more than the sweep's own work.
@@ -216,19 +240,20 @@ class Chromosome:
                         b = src_b[node]
                         if b >= ni:
                             needed[b - ni] = True
-        active = np.array(
+        return np.array(
             [node for node, hit in enumerate(needed) if hit], dtype=np.intp
         )
-        self._active_cache = active
-        return active
 
     def active_gene_positions(self) -> np.ndarray:
         """Genome positions whose mutation can change the phenotype.
 
         These are the genes of active nodes plus the output genes; a
         mutation touching none of them is phenotypically neutral, which
-        the evolution loop exploits to skip re-evaluation.
+        the evolution loop exploits to skip re-evaluation.  Cached with
+        the active set (treat the array as read-only).
         """
+        if self._positions_cache is not None:
+            return self._positions_cache
         p = self.params
         gpn = p.genes_per_node
         active = self.active_nodes()
@@ -236,7 +261,9 @@ class Chromosome:
         out_positions = np.arange(
             p.num_nodes * gpn, p.genome_length, dtype=np.int64
         )
-        return np.concatenate([node_positions, out_positions])
+        positions = np.concatenate([node_positions, out_positions])
+        self._positions_cache = positions
+        return positions
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -317,7 +344,7 @@ class Chromosome:
 
     def copy(self) -> "Chromosome":
         clone = Chromosome(self.params, self.genes.copy())
-        clone._active_cache = self._active_cache
+        clone.inherit_active(self)
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -687,6 +687,7 @@ def sampled_component_objective(
         metric=metric,
         library=library,
         component=comp.name,
+        num_outputs=comp.num_outputs(width),
     )
 
 

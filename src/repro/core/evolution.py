@@ -6,17 +6,20 @@ evaluates them with Eq. (1), and promotes the best offspring whenever it
 is *at least as fit* as the parent — the neutral-drift rule that CGP
 relies on to traverse plateaus.
 
-Three standard accelerations are implemented, none of which changes the
+Four standard accelerations are implemented, none of which changes the
 search semantics:
 
 * offspring whose mutations touch only inactive genes inherit the parent's
-  evaluation without simulation (their phenotype is identical);
+  evaluation without simulation (their phenotype is identical), and its
+  active set;
 * the evaluator precomputes stimulus / reference / weights once per run;
 * each generation's offspring are evaluated as one batch — through the
   evaluator's ``evaluate_batch`` when it provides one (the compiled
-  engine of :mod:`repro.engine` does, with phenotype caching), else
-  sequentially.  Mutation draws happen before any evaluation, so the RNG
-  stream, and therefore the search trajectory, is identical either way.
+  engine of :mod:`repro.engine` does), else sequentially.  Mutation
+  draws happen before any evaluation, so the RNG stream, and therefore
+  the search trajectory, is identical either way;
+* the engine hands every child it compiles the active set its compile
+  marked, so an accepted child's set is never swept again in Python.
 """
 
 from __future__ import annotations
@@ -132,17 +135,21 @@ def _evolve_loop(
 
     batch_eval = getattr(evaluator, "evaluate_batch", None)
 
-    # Reused per-generation scratch: a genome-length activity mask is
-    # cheaper to rebuild (vectorized fill + scatter) and to probe (list
-    # indexing on the few changed positions) than a Python set of all
-    # active positions — same semantics, just a faster membership test.
+    # The parent's genome-length activity mask as bytes, probed on the
+    # few changed positions per child; rebuilt (vectorized fill +
+    # scatter) only when the parent's active set changes.
     active_mask = np.zeros(seed.params.genome_length, dtype=bool)
+    mask_of: Optional[np.ndarray] = None
+    is_active = b""
 
     generation = 0
     for generation in range(1, cfg.generations + 1):
-        active_mask[:] = False
-        active_mask[parent.active_gene_positions()] = True
-        is_active = active_mask.tolist()
+        positions = parent.active_gene_positions()
+        if positions is not mask_of:
+            active_mask[:] = False
+            active_mask[positions] = True
+            is_active = active_mask.tobytes()
+            mask_of = positions
         # Create the whole brood first (all RNG draws), then evaluate the
         # non-neutral offspring as one batch.
         children: List[Chromosome] = []
@@ -151,9 +158,10 @@ def _evolve_loop(
         for _ in range(cfg.lam):
             child, changed = mutate(parent, cfg.h, rng)
             children.append(child)
-            neutral = cfg.skip_neutral_evaluations and not any(
-                is_active[pos] for pos in changed
-            )
+            touches_active = any(is_active[pos] for pos in changed)
+            if not touches_active:
+                child.inherit_active(parent)
+            neutral = cfg.skip_neutral_evaluations and not touches_active
             if neutral:
                 child_evals.append(parent_eval)
             else:

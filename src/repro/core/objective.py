@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,9 +42,16 @@ from ..errors.metrics import (
     ErrorMetric,
     MetricEstimate,
     estimate_from_distances,
+    estimate_from_replicate_stats,
     get_metric,
+    replicate_stats,
 )
-from ..errors.weights import IntegerWeights, distance_bound, output_bits
+from ..errors.weights import (
+    IntegerWeights,
+    distance_bound,
+    output_bits,
+    sum_limit,
+)
 from ..tech.library import TechLibrary, default_library
 from .chromosome import Chromosome
 
@@ -406,6 +413,14 @@ class SampledObjective(CircuitObjective):
     sample matrix; :meth:`evaluate` returns a :class:`SampledEvalResult`
     carrying the 95 % confidence interval.
 
+    Estimates reduce each replicate's distances to three integers
+    (:func:`~repro.errors.metrics.estimate_from_replicate_stats`) when
+    :attr:`replicate_reduce` holds: a metric with an integer form, at
+    least two replicates, and a distance bound (from the reference and
+    the ``num_outputs``-bit bus) whose sum over one replicate stays
+    below ``2**63``.  ``mred``, single replicates and wider buses keep
+    the float distance-row form.
+
     Args:
         num_inputs: Primary input count of the candidates.
         reference_at: ``vectors -> int64`` exact outputs at the given
@@ -420,6 +435,9 @@ class SampledObjective(CircuitObjective):
             .ErrorMetric`.
         library: Technology library for the area term.
         component: Component-family tag.
+        num_outputs: Candidate output width in bits, which bounds the
+            error distances; defaults to the narrowest bus that holds
+            the sampled reference.
     """
 
     def __init__(
@@ -433,6 +451,7 @@ class SampledObjective(CircuitObjective):
         metric: object = "wmed",
         library: Optional[TechLibrary] = None,
         component: str = "",
+        num_outputs: Optional[int] = None,
     ) -> None:
         self.metric = get_metric(metric)
         self.dist = dist
@@ -469,6 +488,16 @@ class SampledObjective(CircuitObjective):
         self.component = component
         self.library = library or default_library()
         self._area_cache: Dict[Tuple[str, ...], np.ndarray] = {}
+        if num_outputs is None:
+            num_outputs = output_bits(self.reference, signed)
+        #: Whether estimates come from per-replicate integer statistics
+        #: (decided once, by the int64 rule every exact sum obeys).
+        self.replicate_reduce = (
+            self.metric.integer
+            and spec.replicates >= 2
+            and distance_bound(self.reference, num_outputs, signed)
+            <= sum_limit(spec.samples)
+        )
         # Sample-spec identity: folded into the engine's cache salt so a
         # sampled estimate never aliases an exhaustive value or a
         # different sample spec's estimate for the same phenotype.  The
@@ -487,12 +516,30 @@ class SampledObjective(CircuitObjective):
 
     def estimate_distances(self, distances: np.ndarray) -> MetricEstimate:
         """Metric estimate + 95 % CI from a per-sample distance row."""
+        spec = self.sample_spec
+        if self.replicate_reduce:
+            return self.estimate_stats(
+                *replicate_stats(distances, spec.replicates)
+            )
         return estimate_from_distances(
             self.metric,
             distances,
             self.normalizer,
             self.reference,
-            self.sample_spec.replicates,
+            spec.replicates,
+        )
+
+    def estimate_stats(
+        self,
+        sums: Sequence[int],
+        nonzeros: Sequence[int],
+        maxima: Sequence[int],
+    ) -> MetricEstimate:
+        """Metric estimate + 95 % CI from per-replicate integer sums
+        (only when :attr:`replicate_reduce` holds)."""
+        return estimate_from_replicate_stats(
+            self.metric, sums, nonzeros, maxima,
+            self.sample_spec.samples, self.normalizer,
         )
 
     def estimate(self, chromosome: Chromosome) -> MetricEstimate:

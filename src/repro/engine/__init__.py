@@ -5,12 +5,13 @@ exhaustive packed simulation plus a truth-table decode per offspring.
 This package turns that from an interpreted walk over genotype dicts
 into a compiled pipeline:
 
-``compiler`` -> ``arena`` -> (``native`` | ``kernels``) -> ``cache``
+``compiler`` -> ``arena`` -> (``native`` | ``kernels``)
 
 * :mod:`repro.engine.compiler` lowers a chromosome's (or netlist's)
   active cone to flat, topologically ordered ``(opcode, src_a, src_b)``
   arrays with densely renumbered slots — a canonical program that is
-  byte-identical for phenotype-equivalent genotypes.
+  byte-identical for phenotype-equivalent genotypes — and hands the
+  active set it marks to the chromosome.
 * :mod:`repro.engine.arena` preallocates every evaluation buffer (packed
   signal matrix, program slabs, decode scratch, error vector) once per
   run.
@@ -18,8 +19,8 @@ into a compiled pipeline:
   the system compiler, loaded through ctypes); :mod:`repro.engine
   .kernels` is the bit-identical pure-numpy fallback with a stacked
   bit-transpose decode and fused WMED reduction.
-* :mod:`repro.engine.cache` memoizes ``(wmed, area)`` by compiled-program
-  signature, exploiting CGP neutral drift.
+* :mod:`repro.engine.cache` memoizes a lone evaluation's ``(wmed,
+  area)`` by compiled-program signature; brood candidates bypass it.
 
 :class:`~repro.engine.evaluator.CompiledObjective` packages the pipeline
 behind the component-agnostic objective layer: it wraps *any*

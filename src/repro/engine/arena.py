@@ -45,8 +45,9 @@ import numpy as np
 
 __all__ = ["BufferArena", "STATS_WIDTH", "MAX_OUTPUT_BITS"]
 
-#: Integers per candidate of the reduced decode: Σ|d|, #{d != 0},
-#: max|d|, Σ W·|d|, Σ W·[d != 0] (the native decode's stats row).
+#: Integers per vector block of the reduced decode: Σ|d|, #{d != 0},
+#: max|d|, Σ W·|d|, Σ W·[d != 0] (the native decode's stats row holds
+#: one such group per block).
 STATS_WIDTH = 5
 
 #: Widest output bus the decode serves.  Values and distances are int64;
@@ -64,6 +65,8 @@ class BufferArena:
         num_outputs: Output bus width in bits.
         stimulus: Packed input words, shape ``(num_inputs, words)``.
         num_vectors: Number of valid test vectors in the stimulus.
+        blocks: Consecutive equal vector blocks the reduced decode sums
+            separately (a sampled objective's replicates; 1 otherwise).
     """
 
     def __init__(
@@ -73,6 +76,7 @@ class BufferArena:
         num_outputs: int,
         stimulus: np.ndarray,
         num_vectors: int,
+        blocks: int = 1,
     ) -> None:
         if stimulus.shape[0] != num_inputs:
             raise ValueError(
@@ -86,6 +90,7 @@ class BufferArena:
         self.num_nodes = num_nodes
         self.num_outputs = num_outputs
         self.num_vectors = int(num_vectors)
+        self.blocks = int(blocks)
         self.words = int(stimulus.shape[1])
         self._owner_thread = threading.get_ident()
 
@@ -178,8 +183,11 @@ class BufferArena:
         self.batch_out_slots = np.empty((n_cand, max(no, 1)), dtype=np.int32)
         self.batch_n_ops = np.zeros(n_cand, dtype=np.int32)
         # Per-candidate decode statistics for the native exact-reduction
-        # path; rows stay untouched on the err path.
-        self.batch_stats = np.zeros((n_cand, STATS_WIDTH), dtype=np.int64)
+        # path, one group per vector block; rows stay untouched on the
+        # err path.
+        self.batch_stats = np.zeros(
+            (n_cand, STATS_WIDTH * self.blocks), dtype=np.int64
+        )
         self.batch_capacity = n_cand
         self.batch_epoch += 1
 

@@ -1,15 +1,13 @@
-"""Phenotype-keyed evaluation cache.
+"""Phenotype-keyed evaluation cache of lone evaluations.
 
-CGP's neutral drift means the search constantly re-creates genotypes
-whose *phenotype* — the compiled active cone — it has already evaluated:
-mutations that only touch inactive genes, or that rewire inactive nodes,
-produce byte-identical compiled programs.  The evolution loop already
-skips offspring whose mutations touch no active gene, but it cannot see
-convergent cases (e.g. a mutation undoing a previous one, or two parents
-drifting onto the same cone).  Caching the measure tuple — ``(wmed,
-area)`` exhaustively, ``(wmed, area, ci_low, ci_high)`` for sampled
-objectives — by compiled-program signature turns all of those into
-dictionary hits.
+Genotypes with the same *phenotype* — the compiled active cone — compile
+to byte-identical programs, so a lone ``evaluate()`` (a parent, a
+characterization) caches its measure tuple — ``(wmed, area)``
+exhaustively, ``(wmed, area, ci_low, ci_high)`` for sampled objectives —
+by compiled-program signature.  Brood candidates of the evolve loop
+never consult it: the loop already skips offspring whose mutations touch
+no active gene, and the rest repeat an evaluated phenotype too rarely
+for a signature per candidate to pay.
 
 Entries are threshold-independent: Eq. (1) fitness is re-derived from
 the cached measure at lookup time, so one cache serves a whole

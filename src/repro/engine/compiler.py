@@ -11,12 +11,13 @@ difference between streaming megabytes per candidate and staying
 cache-resident.  Output values and primary inputs are never recycled.
 
 Unread operand fields are canonicalized to 0 and the allocator is
-deterministic, so two genotypes with the same phenotype — the situation
-CGP's neutral drift produces constantly — compile to byte-identical
-programs.  That makes the compiled form double as the key of the
-phenotype eval cache.  The native backend
-(:mod:`repro.engine.native`) runs the same algorithm in C; both produce
-identical arrays.
+deterministic, so two genotypes with the same phenotype compile to
+byte-identical programs, and the compiled form can key the phenotype
+eval cache of a lone evaluation.  The compile's first pass marks the
+active cone, which the engine hands to the chromosome as its active set
+(:meth:`~repro.core.chromosome.Chromosome.adopt_active_nodes`).  The
+native backend (:mod:`repro.engine.native`) runs the same algorithm in
+C; both produce identical arrays.
 
 The Python compiler works over ``genes.tolist()``: per-element access on
 small int lists beats numpy scalar indexing on the ~2000-gene genomes
@@ -27,7 +28,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List
+from itertools import compress
+from typing import List, Optional
 
 import numpy as np
 
@@ -38,7 +40,6 @@ from .opcodes import OP_ARITY, function_opcode_table
 __all__ = [
     "CompiledPhenotype",
     "compile_genes_into",
-    "compile_genes_batch_into",
     "compile_phenotype",
     "compile_netlist",
     "phenotype_signature",
@@ -115,13 +116,17 @@ def compile_genes_into(
     src_b: np.ndarray,
     dst: np.ndarray,
     out_slots: np.ndarray,
+    needed_out: Optional[np.ndarray] = None,
 ) -> int:
     """Compile a genome into caller-provided buffers; return ``n_ops``.
 
     This is the Python reference of the compile algorithm (the native
     backend runs the same passes in C).  ``ops``, ``src_a``, ``src_b``,
     ``dst`` must have room for ``params.num_nodes`` entries and
-    ``out_slots`` for ``params.num_outputs``.
+    ``out_slots`` for ``params.num_outputs``.  ``needed_out``, when
+    given (``uint8``, ``params.num_nodes`` long), receives the
+    active-node mask of the first pass, as the native compile's
+    ``needed`` does.
     """
     p = params
     ni = p.num_inputs
@@ -129,103 +134,87 @@ def compile_genes_into(
     gpn = p.genes_per_node
     g = genes.tolist()
     node_end = nn * gpn
+    in_a = g[0:node_end:gpn]
+    in_b = g[1:node_end:gpn]
+    op_of = [fn2op[f] for f in g[2:node_end:gpn]]
+    outs = g[node_end:]
     arity_of = _ARITY_LIST
-    fn2op_l = fn2op
 
     # Pass 1: transitive fan-in of the outputs.  Sources always precede
     # their node (rows = 1, feed-forward), so one reverse sweep settles it.
     needed = bytearray(nn)
-    for out in g[node_end:]:
+    for out in outs:
         if out >= ni:
             needed[out - ni] = 1
     for node in range(nn - 1, -1, -1):
-        if not needed[node]:
-            continue
-        base = node * gpn
-        ar = arity_of[fn2op_l[g[base + 2]]]
-        if ar >= 1 and g[base] >= ni:
-            needed[g[base] - ni] = 1
-        if ar >= 2 and g[base + 1] >= ni:
-            needed[g[base + 1] - ni] = 1
+        if needed[node]:
+            ar = arity_of[op_of[node]]
+            if ar:
+                a = in_a[node]
+                if a >= ni:
+                    needed[a - ni] = 1
+                if ar > 1:
+                    b = in_b[node]
+                    if b >= ni:
+                        needed[b - ni] = 1
+    if needed_out is not None:
+        needed_out[:] = np.frombuffer(needed, dtype=np.uint8)
+    active = list(compress(range(nn), needed))
+    n_total = len(active)
 
     # Pass 2: per-node last consumer (emit index); outputs never die.
     last_use = [0] * nn
-    e = 0
-    for node in range(nn):
-        if not needed[node]:
-            continue
-        base = node * gpn
-        ar = arity_of[fn2op_l[g[base + 2]]]
-        if ar >= 1 and g[base] >= ni:
-            last_use[g[base] - ni] = e
-        if ar >= 2 and g[base + 1] >= ni:
-            last_use[g[base + 1] - ni] = e
-        e += 1
-    n_total = e
-    for out in g[node_end:]:
+    for e, node in enumerate(active):
+        ar = arity_of[op_of[node]]
+        if ar:
+            a = in_a[node]
+            if a >= ni:
+                last_use[a - ni] = e
+            if ar > 1:
+                b = in_b[node]
+                if b >= ni:
+                    last_use[b - ni] = e
+    for out in outs:
         if out >= ni:
             last_use[out - ni] = n_total
 
     # Pass 3: emission with LIFO slot recycling.  A dead operand's slot
     # is released only *after* the op's destination is allocated, so a
-    # destination never aliases its own operands.
+    # destination never aliases its own operands.  Unread operands stay
+    # 0.  The program is built in lists and stored with one slice
+    # assignment per array.
     slot = list(range(ni)) + [0] * nn
     free: List[int] = []
     next_new = ni
-    e = 0
-    for node in range(nn):
-        if not needed[node]:
-            continue
-        base = node * gpn
-        opc = fn2op_l[g[base + 2]]
-        ar = arity_of[opc]
-        ga = g[base]
-        gb = g[base + 1]
-        ops[e] = opc
-        src_a[e] = slot[ga] if ar >= 1 else 0
-        src_b[e] = slot[gb] if ar >= 2 else 0
+    ops_l = [op_of[node] for node in active]
+    sa_l = [0] * n_total
+    sb_l = [0] * n_total
+    dst_l = [0] * n_total
+    for e, node in enumerate(active):
         if free:
             d = free.pop()
         else:
             d = next_new
             next_new += 1
-        dst[e] = d
+        dst_l[e] = d
         slot[ni + node] = d
-        if ar >= 1 and ga >= ni and last_use[ga - ni] == e:
-            free.append(slot[ga])
-        if ar >= 2 and gb >= ni and gb != ga and last_use[gb - ni] == e:
-            free.append(slot[gb])
-        e += 1
-    for j, out in enumerate(g[node_end:]):
-        out_slots[j] = slot[out]
+        ar = arity_of[ops_l[e]]
+        if ar:
+            ga = in_a[node]
+            sa_l[e] = slot[ga]
+            if ga >= ni and last_use[ga - ni] == e:
+                free.append(slot[ga])
+            if ar > 1:
+                gb = in_b[node]
+                sb_l[e] = slot[gb]
+                if gb >= ni and gb != ga and last_use[gb - ni] == e:
+                    free.append(slot[gb])
+    ops[:n_total] = ops_l
+    src_a[:n_total] = sa_l
+    src_b[:n_total] = sb_l
+    dst[:n_total] = dst_l
+    out_slots[: len(outs)] = [slot[out] for out in outs]
     return n_total
-
-
-def compile_genes_batch_into(
-    genes_seq,
-    params: CGPParams,
-    fn2op: List[int],
-    ops: np.ndarray,
-    src_a: np.ndarray,
-    src_b: np.ndarray,
-    dst: np.ndarray,
-    out_slots: np.ndarray,
-    n_ops_out: np.ndarray,
-) -> None:
-    """Compile a sequence of genomes into contiguous per-candidate slabs.
-
-    Row ``k`` of each 2-D buffer receives candidate ``k``'s program
-    (``ops``/``src_a``/``src_b``/``dst`` shaped ``(n, num_nodes)``,
-    ``out_slots`` shaped ``(n, num_outputs)``); ``n_ops_out[k]`` gets its
-    emitted op count.  Each row is exactly what
-    :func:`compile_genes_into` would produce, so per-row signatures and
-    execution results match the single-candidate path bit-for-bit.
-    """
-    for k, genes in enumerate(genes_seq):
-        n_ops_out[k] = compile_genes_into(
-            genes, params, fn2op,
-            ops[k], src_a[k], src_b[k], dst[k], out_slots[k],
-        )
 
 
 def compile_phenotype(chromosome: Chromosome) -> CompiledPhenotype:

@@ -7,13 +7,21 @@
 through the evaluation engine:
 
 1. the phenotype compiler lowers the candidate's active cone to a flat
-   opcode program (:mod:`repro.engine.compiler`),
-2. the program's signature is looked up in the phenotype cache
-   (:mod:`repro.engine.cache`) — CGP neutral drift makes hits frequent,
-3. on a miss, the program runs over the preallocated buffer arena on the
-   native C backend (:mod:`repro.engine.native`) or the numpy fallback
+   opcode program (:mod:`repro.engine.compiler`); the active-node mask
+   it marks on the way becomes the chromosome's active set, so the
+   search never sweeps a compiled candidate again in Python,
+2. the program runs over the preallocated buffer arena on the native C
+   backend (:mod:`repro.engine.native`) or the numpy fallback
    (:mod:`repro.engine.kernels`), followed by the fused decode and the
    objective's metric.
+
+A brood candidate costs that compile and one native call, nothing more:
+it is never hashed, looked up or deduplicated.  The evolve loop already
+skips children whose mutations touch only inactive genes, and the
+candidates it does send repeat an evaluated phenotype too rarely for a
+signature per candidate to pay (perfbench's traced evolve runs read a
+0 % cache hit rate).  Only a lone :meth:`~_EngineEvalMixin.evaluate`
+still consults the phenotype cache (:mod:`repro.engine.cache`).
 
 Every native evaluation runs through ``cgp_eval_batch``: a brood as
 one fused call under the OpenMP team, or as one call per candidate on
@@ -43,11 +51,15 @@ distances into five integers in C — ``Σ|d|``, ``#{d != 0}``,
 ``max|d|``, ``Σ W·|d|``, ``Σ W·[d != 0]`` over the objective's integer
 weights ``W`` — and never writes a distance row; the numpy backend and
 the interpreted objective take the same integers from an int64 distance
-row; all three finish in :meth:`ErrorMetric.from_stats`.  ``mred`` and
-sampled estimates reduce the int64 row through the float form
-(:meth:`ErrorMetric.from_distances`), the same code on every path.  The
-cache key folds in the objective's identity (reference, weights,
-metric, signedness), so caches never alias across objectives.
+row; all three finish in :meth:`ErrorMetric.from_stats`.  A sampled
+objective with :attr:`~repro.core.objective.SampledObjective
+.replicate_reduce` gets the first three integers per replicate block
+from the same decode, and every path finishes in
+:func:`~repro.errors.metrics.estimate_from_replicate_stats`.  ``mred``
+and the remaining sampled objectives reduce the int64 row through the
+float form (:meth:`ErrorMetric.from_distances`), the same code on every
+path.  The cache key folds in the objective's identity (reference,
+weights, metric, signedness), so caches never alias across objectives.
 Evaluators are not thread-safe (each owns one arena); use one instance
 per worker.
 
@@ -78,7 +90,7 @@ from ..core.objective import (
 from ..errors.distributions import Distribution
 from ..tech.library import TechLibrary
 from . import kernels
-from .arena import MAX_OUTPUT_BITS, BufferArena
+from .arena import MAX_OUTPUT_BITS, STATS_WIDTH, BufferArena
 from .cache import EvalCache
 from .compiler import compile_genes_into, phenotype_signature
 from .native import NativeLib, native_lib, omp_threads
@@ -143,6 +155,7 @@ class _Runtime:
         salt_extra: bytes = b"",
         weight_row: Optional[np.ndarray] = None,
         weight_mask: int = 0,
+        blocks: int = 1,
     ) -> None:
         self.params = params
         fn2op = function_opcode_table(params.functions)  # may raise KeyError
@@ -154,10 +167,11 @@ class _Runtime:
             params.num_outputs,
             stimulus,
             num_vectors,
+            blocks=blocks,
         )
         self.native = native
-        # Scratch used only by the C compile entry point.
-        self.needed = np.empty(params.num_nodes, dtype=np.uint8)
+        #: The active-node mask of the latest compile (either backend).
+        self.needed = np.zeros(params.num_nodes, dtype=np.uint8)
         self.scratch_i32 = np.empty(
             params.num_inputs + 3 * params.num_nodes, dtype=np.int32
         )
@@ -240,8 +254,13 @@ class _Runtime:
             )
         return compile_genes_into(
             genes, p, self.fn2op_list,
-            a.ops, a.src_a, a.src_b, a.dst, a.out_slots,
+            a.ops, a.src_a, a.src_b, a.dst, a.out_slots, self.needed,
         )
+
+    def active_nodes(self) -> np.ndarray:
+        """The latest compile's active nodes, ascending — what
+        :meth:`Chromosome.active_nodes` sweeps for."""
+        return np.flatnonzero(self.needed)
 
     def execute(self, n_ops: int) -> None:
         a = self.arena
@@ -345,7 +364,7 @@ class _Runtime:
                 (
                     self.p_decode_scratch, 0, self.p_exact32, self.p_exact,
                     self.p_weight_row, self.weight_mask, self.p_err,
-                    a.num_vectors, self.p_b_stats, 1,
+                    a.num_vectors, self.p_b_stats, a.blocks, 1,
                 ),
             )
             for (n_ops_p, ops_p, sa_p, sb_p, dst_p, osl_p)
@@ -369,13 +388,14 @@ class _Runtime:
                 genes, p, self.fn2op_list,
                 a.batch_ops[lane], a.batch_src_a[lane],
                 a.batch_src_b[lane], a.batch_dst[lane],
-                a.batch_out_slots[lane],
+                a.batch_out_slots[lane], self.needed,
             )
         a.batch_n_ops[lane] = n
         return n
 
     def lane_signature(self, lane: int, n_ops: int) -> bytes:
-        """Cache key of the program in slab row ``lane``.
+        """Cache key of the program in slab row ``lane`` (a lone
+        evaluation's; broods are never hashed).
 
         Salted with the objective's identity, so equal programs under
         different objectives never share a cache entry.
@@ -404,8 +424,8 @@ class _Runtime:
         ``arena.batch_err[k]`` receives lane ``k``'s per-vector int64
         distances, bit-identical to the serial dispatch of
         :meth:`execute_lane`.  With ``stats`` lane ``k``'s distances
-        reduce into the five statistics of ``arena.batch_stats[k]``
-        instead and the distance rows stay untouched.
+        reduce into ``arena.batch_stats[k]`` instead — five statistics
+        per vector block — and the distance rows stay untouched.
         """
         a = self.arena
         a.ensure_lanes()
@@ -422,6 +442,7 @@ class _Runtime:
             stats=self.p_b_stats if stats else 0,
             weight_row=self.p_weight_row,
             weight_mask=self.weight_mask,
+            blocks=a.blocks,
         )
 
     def execute_lane(self, lane: int, signed: bool) -> np.ndarray:
@@ -463,9 +484,10 @@ class _Runtime:
 
         The stats-mode twin of :meth:`execute_lane`: the same chunked
         serial dispatch, but the decoded distances fold into the five
-        statistics in C (``arena.batch_stats`` row 0, reused across
-        chunks) and the ~``num_vectors`` distance row is never written —
-        the dominant share of a width-8 evaluation's memory traffic.
+        statistics of each vector block in C (``arena.batch_stats`` row
+        0, reused across chunks) and the ~``num_vectors`` distance row
+        is never written — the dominant share of a width-8 evaluation's
+        memory traffic.
         """
         head, tail = self._lane_stats_args[lane]
         self.native._lib.cgp_eval_batch(*head, int(signed), *tail)
@@ -525,8 +547,8 @@ class _EngineEvalMixin:
         # (counts, replicates, seed, realized stimulus) so a sampled
         # estimate never aliases an exhaustive value — or a different
         # sample's estimate — for the same phenotype.
-        sample_salt = getattr(self, "_sample_salt", b"")
-        sampled = bool(sample_salt)
+        sampled = isinstance(self, SampledObjective)
+        sample_salt = self._sample_salt if sampled else b""
         weights = None if sampled else self.integer_weights
         if weights is None:
             h.update(self.weights.tobytes())
@@ -545,12 +567,14 @@ class _EngineEvalMixin:
         # value, bit for bit, that the numpy backend and the interpreted
         # objective compute from their rows.  The only limit is the
         # weights' int64 bound, which from_stats checks against max |d|
-        # on every path.  Sampled objectives
-        # always materialize the row: the confidence interval comes from
-        # per-replicate (or per-sample) reductions of it.
+        # on every path.  A sampled objective takes the path when its
+        # estimates reduce per replicate (replicate_reduce): the decode
+        # then sums each of its replicate blocks separately.
+        integer = self.replicate_reduce if sampled else self.metric.integer
         self._reduce_kind: Optional[str] = (
-            self.metric.name if self.metric.integer and not sampled else None
+            self.metric.name if integer else None
         )
+        self._blocks = self.sample_spec.replicates if sampled else 1
         # The C decode reads W[v] = row[v & mask] eight vectors at a
         # time, so a non-uniform period shorter than 8 is tiled up to 8;
         # mask 0 tells it the weights are uniform (row[0] throughout).
@@ -565,8 +589,6 @@ class _EngineEvalMixin:
             self._weight_row = row
             self._weight_mask = row.size - 1 if row.size > 1 else 0
         self.cache = EvalCache(cache_entries)
-        #: Within-batch phenotype dedup count (same sig, same brood).
-        self._batch_dedup = 0
         #: Number of fused batch dispatches issued.
         self._batch_calls = 0
         #: Candidates actually executed via batch dispatch.
@@ -606,6 +628,7 @@ class _EngineEvalMixin:
                         salt_extra=self._objective_salt,
                         weight_row=self._weight_row,
                         weight_mask=self._weight_mask,
+                        blocks=self._blocks,
                     )
                 except KeyError:
                     reason = "no-opcode"
@@ -621,17 +644,6 @@ class _EngineEvalMixin:
                 f"expects {self.num_inputs}"
             )
 
-    def _reduce_error(self, stats: list) -> float:
-        """Metric value from the native decode's five integers.
-
-        :meth:`ErrorMetric.from_stats` — the reduction the numpy backend
-        and the interpreted objective reach through
-        :meth:`CircuitObjective.error_from_distances`.
-        """
-        return self.metric.from_stats(
-            stats, self.integer_weights, self.normalizer
-        )
-
     # ------------------------------------------------------------------
     # Measure-tuple hooks: the measure is whatever per-phenotype record
     # the objective family caches and turns into results — (error, area)
@@ -639,6 +651,20 @@ class _EngineEvalMixin:
     def _finish_measure(self, err: np.ndarray, area: float) -> tuple:
         """Measure tuple from a materialized per-vector distance row."""
         return (self.error_from_distances(err), area)
+
+    def _finish_stats(self, stats: list, area: float) -> tuple:
+        """Measure tuple from the native decode's five integers.
+
+        :meth:`ErrorMetric.from_stats` — the reduction the numpy backend
+        and the interpreted objective reach through
+        :meth:`CircuitObjective.error_from_distances`.
+        """
+        return (
+            self.metric.from_stats(
+                stats, self.integer_weights, self.normalizer
+            ),
+            area,
+        )
 
     def _measure_interpreted(self, chromosome: Chromosome) -> tuple:
         """Measure via the inherited numpy path (no runtime available)."""
@@ -657,10 +683,9 @@ class _EngineEvalMixin:
     def _measure_brood(self, chromosomes: List[Chromosome]) -> List[tuple]:
         """Measure tuples of a brood, in order.
 
-        Per candidate: compile into a slab row, look the signature up
-        in the phenotype cache, and dedupe identical phenotypes within
-        the brood.  Survivors then run under the runtime's schedule (see
-        :meth:`_Runtime.team`):
+        Every candidate compiles into its own slab row, and the compile's
+        active-node mask becomes the chromosome's active set.  The brood
+        then runs under the runtime's schedule (see :meth:`_Runtime.team`):
 
         * threaded: **one** fused ``cgp_eval_batch`` call, candidate
           loop in C under the OpenMP team, each candidate writing its
@@ -671,7 +696,9 @@ class _EngineEvalMixin:
 
         Both run the same compiled programs through the same integer
         kernels and reduction, so the schedule changes dispatch overhead
-        and memory locality, never a result.  A brood of one always runs
+        and memory locality, never a result.  No candidate is hashed,
+        looked up in the phenotype cache or deduplicated: identical
+        phenotypes simply run twice.  A brood of one always runs
         serial.  A brood without a runtime (measured interpreted, each
         candidate counted as a fallback) or of mixed params is measured
         one candidate at a time (:meth:`_measure_one`).
@@ -684,86 +711,52 @@ class _EngineEvalMixin:
         rt.arena.assert_owner()
         n = len(chromosomes)
         rt.ensure_batch(n)
-        caching = self.cache.max_entries > 0
-        measures: List[Optional[tuple]] = [None] * n
-        dups: List[tuple] = []          # (result index, lane index)
-        pending: List[tuple] = []       # (result index, lane, sig, n_ops)
-        lane_of_sig: Dict[bytes, int] = {}
-        n_lanes = 0
-        # Bound-method / attribute hoists: this loop runs once per
-        # evaluation, so repeated lookups are measurable next to the
-        # ~100 µs native call.
         compile_lane = rt.compile_into_lane
-        lane_sig = rt.lane_signature
-        cache_get = self.cache.get
-        for i, ch in enumerate(chromosomes):
-            n_ops = compile_lane(ch.genes, n_lanes)
-            sig = lane_sig(n_lanes, n_ops)
-            if caching:
-                cached = cache_get(sig)
-                if cached is not None:
-                    measures[i] = cached
-                    continue
-            dup_lane = lane_of_sig.get(sig)
-            if dup_lane is not None:
-                self._batch_dedup += 1
-                dups.append((i, dup_lane))
-                continue
-            lane_of_sig[sig] = n_lanes
-            pending.append((i, n_lanes, sig, n_ops))
-            n_lanes += 1
+        lane_ops = []
+        for lane, ch in enumerate(chromosomes):
+            lane_ops.append(compile_lane(ch.genes, lane))
+            ch.adopt_active_nodes(rt.active_nodes())
         _obs.ENGINE_COMPILE_NS.inc(perf_counter_ns() - t0)
-        if dups:
-            _obs.ENGINE_BATCH_DEDUP.inc(len(dups))
-        if n_lanes:
-            nthreads = rt.team() if n_lanes > 1 else 1
-            self._batch_calls += 1
-            self._batch_evals += n_lanes
-            _obs.ENGINE_BATCH_CALLS.inc()
-            _obs.ENGINE_BATCH_EVALS.inc(n_lanes)
-            _obs.ENGINE_BATCH_SIZE.observe(n_lanes)
-            by_lane: Dict[int, tuple] = {}
-            cache_put = self.cache.put
-            if nthreads <= 1:
-                # Cache-blocked serial schedule: run one candidate at a
-                # time and reduce each distance row while it is still
-                # cache-hot.  One brood otherwise streams n_lanes cold
-                # private error rows (~n x 512 KiB at width 8) through
-                # the reductions, which costs more than the dispatch
-                # the fused call saves.
-                measure_lane = self._measure_lane
-                for i, lane, sig, n_ops in pending:
-                    measure = measure_lane(rt, lane, n_ops)
-                    if caching:
-                        cache_put(sig, *measure)
-                    measures[i] = by_lane[lane] = measure
-            else:
-                fast = self._reduce_kind is not None
-                rt.execute_batch(n_lanes, self.signed, nthreads, stats=fast)
-                batch_err = rt.arena.batch_err
-                batch_stats = rt.arena.batch_stats
-                for i, lane, sig, n_ops in pending:
-                    area = rt.lane_area(lane, n_ops)
-                    if fast:
-                        measure = (
-                            self._reduce_error(batch_stats[lane].tolist()),
-                            area,
-                        )
-                    else:
-                        measure = self._finish_measure(batch_err[lane], area)
-                    if caching:
-                        cache_put(sig, *measure)
-                    measures[i] = by_lane[lane] = measure
-            for i, lane in dups:
-                measures[i] = by_lane[lane]
-        return measures
+        self._batch_calls += 1
+        self._batch_evals += n
+        _obs.ENGINE_BATCH_CALLS.inc()
+        _obs.ENGINE_BATCH_EVALS.inc(n)
+        _obs.ENGINE_BATCH_SIZE.observe(n)
+        nthreads = rt.team() if n > 1 else 1
+        if nthreads <= 1:
+            # Cache-blocked serial schedule: run one candidate at a time
+            # and reduce each distance row while it is still cache-hot.
+            # One brood otherwise streams n cold private error rows
+            # (~n x 512 KiB at width 8) through the reductions, which
+            # costs more than the dispatch the fused call saves.
+            measure_lane = self._measure_lane
+            return [
+                measure_lane(rt, lane, n_ops)
+                for lane, n_ops in enumerate(lane_ops)
+            ]
+        fast = self._reduce_kind is not None
+        rt.execute_batch(n, self.signed, nthreads, stats=fast)
+        lane_area = rt.lane_area
+        if fast:
+            batch_stats = rt.arena.batch_stats
+            finish_stats = self._finish_stats
+            return [
+                finish_stats(batch_stats[lane].tolist(), lane_area(lane, k))
+                for lane, k in enumerate(lane_ops)
+            ]
+        batch_err = rt.arena.batch_err
+        finish = self._finish_measure
+        return [
+            finish(batch_err[lane], lane_area(lane, k))
+            for lane, k in enumerate(lane_ops)
+        ]
 
     def _measure_one(self, chromosome: Chromosome) -> tuple:
         """Measure tuple of a lone candidate (:meth:`evaluate`).
 
         Slab row 0 on the serial schedule, via the phenotype cache, with
-        none of a brood's dedupe and dispatch bookkeeping: like the
-        evolve loop's parent evaluation, it is not counted as a brood.
+        none of a brood's dispatch bookkeeping: like the evolve loop's
+        parent evaluation, it is not counted as a brood.
         """
         rt = self._runtime(chromosome.params)
         if rt is None:
@@ -774,6 +767,7 @@ class _EngineEvalMixin:
         rt.arena.assert_owner()
         rt.ensure_batch(1)
         n_ops = rt.compile_into_lane(chromosome.genes, 0)
+        chromosome.adopt_active_nodes(rt.active_nodes())
         caching = self.cache.max_entries > 0
         if caching:
             sig = rt.lane_signature(0, n_ops)
@@ -793,8 +787,8 @@ class _EngineEvalMixin:
         materialized distance row (:meth:`_Runtime.execute_lane`).
         """
         if rt.native is not None and self._reduce_kind is not None:
-            return (
-                self._reduce_error(rt.execute_lane_stats(lane, self.signed)),
+            return self._finish_stats(
+                rt.execute_lane_stats(lane, self.signed),
                 rt.lane_area(lane, n_ops),
             )
         return self._finish_measure(
@@ -877,7 +871,6 @@ class _EngineEvalMixin:
             "batch": {
                 "calls": self._batch_calls,
                 "evals": self._batch_evals,
-                "dedup": self._batch_dedup,
             },
             "omp": omp,
         }
@@ -925,11 +918,15 @@ class CompiledSampledObjective(_EngineEvalMixin, SampledObjective):
     :class:`CompiledObjective` — the arena simply holds the packed
     sample matrix instead of the exhaustive stimulus — and every result
     is a :class:`~repro.core.objective.SampledEvalResult` carrying the
-    95 % confidence interval.  The phenotype-cache entries store the
-    four-tuple ``(error, area, ci_low, ci_high)``, salted with the
-    sample-spec identity, so sampled and exhaustive evaluations of the
-    same phenotype never alias.  The exact-integer decode statistics are
-    never used here: the CI needs the materialized distance row.
+    95 % confidence interval.  The phenotype-cache entries of lone
+    evaluations store the four-tuple ``(error, area, ci_low, ci_high)``,
+    salted with the sample-spec identity, so sampled and exhaustive
+    evaluations of the same phenotype never alias.  When the objective's
+    estimates reduce per replicate (its ``replicate_reduce``), the
+    native decode sums each replicate block into the integer statistics
+    the estimate and its interval come from, and no distance row is
+    written; ``mred``, single replicates and buses whose replicate sums
+    could reach ``2**63`` read the materialized row.
 
     The int64 decode serves every width the sampled path accepts (output
     buses up to 62 bits, ``|reference| < 2**62``), so wide multipliers
@@ -961,6 +958,13 @@ class CompiledSampledObjective(_EngineEvalMixin, SampledObjective):
 
     def _finish_measure(self, err: np.ndarray, area: float) -> tuple:
         est = SampledObjective.estimate_distances(self, err)
+        return (est.value, area, est.ci_low, est.ci_high)
+
+    def _finish_stats(self, stats: list, area: float) -> tuple:
+        est = self.estimate_stats(
+            stats[0::STATS_WIDTH], stats[1::STATS_WIDTH],
+            stats[2::STATS_WIDTH],
+        )
         return (est.value, area, est.ci_low, est.ci_high)
 
     def _measure_interpreted(self, chromosome: Chromosome) -> tuple:

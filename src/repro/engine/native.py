@@ -37,7 +37,7 @@ import numpy as np
 __all__ = ["NativeLib", "native_lib", "native_available", "omp_threads"]
 
 #: Bump when C_SOURCE changes incompatibly (part of the .so cache key).
-_ABI_VERSION = 7
+_ABI_VERSION = 8
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -59,7 +59,7 @@ C_SOURCE = r"""
    for any tile size. */
 #define ENGINE_TILE_WORDS 128
 
-/* Integers per candidate in the reduced decode's stats row. */
+/* Integers per vector block in the reduced decode's stats row. */
 #define ENGINE_STATS 5
 
 /* Widest output bus the decode serves: values and distances are int64,
@@ -542,36 +542,50 @@ static void decode_err_planes(const uint64_t* const* planes, int32_t n_bits,
 /* Integer-statistics twin of decode_err_planes: identical decode and
    distance expressions, but the distances are reduced on the fly into
    stats = {sum |d|, count(d != 0), max |d|, sum W|d|, sum W[d != 0]}
-   (see reduce_loop_16) with no distance row ever written.  Distances
-   stay below 2^63 (see err_loop_wide); the caller checks max |d|
-   against the vector count and the weights' bound, so no sum wraps. */
+   (see reduce_loop_16) with no distance row ever written.  The vectors
+   split into `blocks` consecutive equal blocks (a sampled objective's
+   replicate streams), each reduced into its own five integers at
+   stats + 5b; every block's weights start at wrow[0], so blocks > 1
+   needs a block length that the weight period divides (sampled
+   objectives weigh uniformly).  Distances stay below 2^63 (see
+   err_loop_wide); the caller checks max |d| against the block length
+   and the weights' bound, so no sum wraps. */
 static void decode_reduce_planes(const uint64_t* const* planes,
                                  int32_t n_bits, int64_t num_vectors,
                                  int32_t do_sign, uint64_t* scratch,
                                  const int32_t* exact32,
                                  const int64_t* exact,
                                  const int64_t* wrow, int64_t wmask,
-                                 int64_t* restrict stats)
+                                 int32_t blocks, int64_t* restrict stats)
 {
     int64_t ngroups =
         transpose_planes(planes, n_bits, num_vectors, scratch);
     const uint8_t* acc[8];
     int32_t n_acc = group_rows(scratch, n_bits, ngroups, acc);
     int32_t sign = do_sign && n_bits > 0;
-    if (exact32 && n_bits <= 16) {
-        reduce_loop_16(acc[0], acc[1], n_acc > 1, sign, 32 - n_bits,
-                       exact32, num_vectors, wrow, wmask, stats);
-        return;
+    int64_t n = num_vectors / blocks;
+    for (int32_t b = 0; b < blocks; ++b) {
+        int64_t v0 = (int64_t)b * n;
+        int64_t* bstats = stats + (int64_t)ENGINE_STATS * b;
+        if (exact32 && n_bits <= 16) {
+            reduce_loop_16(acc[0] + v0, acc[1] + v0, n_acc > 1, sign,
+                           32 - n_bits, exact32 + v0, n, wrow, wmask,
+                           bstats);
+            continue;
+        }
+        const uint8_t* bacc[8];
+        for (int32_t g = 0; g < 8; ++g) bacc[g] = acc[g] + v0;
+        reduce_loop_wide(bacc, n_acc, sign, 64 - n_bits, exact + v0, n,
+                         wrow, wmask, bstats);
     }
-    reduce_loop_wide(acc, n_acc, sign, 64 - n_bits, exact, num_vectors,
-                     wrow, wmask, stats);
 }
 
 /* One candidate of a batch: execute its program into its lane, then
    decode + error straight from the lane (or the shared inputs, for
    outputs wired directly to a primary input).  With stats non-NULL the
    distance row is never touched: the distances are folded into the
-   five-integer summary instead (see decode_reduce_planes). */
+   five-integer summary of each of the `blocks` vector blocks instead
+   (see decode_reduce_planes). */
 static void eval_candidate(const uint64_t* inputs, uint64_t* lane,
                            int32_t ni, int32_t W, int32_t n_ops,
                            const int32_t* ops, const int32_t* sa,
@@ -580,7 +594,8 @@ static void eval_candidate(const uint64_t* inputs, uint64_t* lane,
                            int64_t num_vectors, int32_t do_sign,
                            uint64_t* scratch, const int32_t* exact32,
                            const int64_t* exact, const int64_t* wrow,
-                           int64_t wmask, int64_t* err, int64_t* stats)
+                           int64_t wmask, int64_t* err, int32_t blocks,
+                           int64_t* stats)
 {
     exec_program(inputs, lane, ni, W, n_ops, ops, sa, sb, dst);
     const uint64_t* planes[ENGINE_MAX_BITS];
@@ -588,7 +603,8 @@ static void eval_candidate(const uint64_t* inputs, uint64_t* lane,
         planes[j] = src_row(inputs, lane, ni, W, osl[j]);
     if (stats)
         decode_reduce_planes(planes, n_bits, num_vectors, do_sign,
-                             scratch, exact32, exact, wrow, wmask, stats);
+                             scratch, exact32, exact, wrow, wmask, blocks,
+                             stats);
     else
         decode_err_planes(planes, n_bits, num_vectors, do_sign, scratch,
                           exact32, exact, err);
@@ -607,8 +623,9 @@ static void eval_candidate(const uint64_t* inputs, uint64_t* lane,
    Each candidate's arithmetic is identical either way (pure integer
    ops, no cross-candidate reads), so serial and parallel results match
    bit-for-bit.  Strides are in elements of the respective arrays.
-   With stats non-NULL, candidate c's distances reduce into
-   stats[5c .. 5c+4] and the err rows are never written. */
+   With stats non-NULL, block b of candidate c's distances reduces into
+   stats[5(c*blocks + b) .. 5(c*blocks + b) + 4] and the err rows are
+   never written. */
 void cgp_eval_batch(const uint64_t* inputs, uint64_t* lanes, int32_t ni,
                     int32_t lane_stride_rows, int32_t W, int32_t n_cand,
                     const int32_t* n_ops_arr, const int32_t* ops,
@@ -620,7 +637,7 @@ void cgp_eval_batch(const uint64_t* inputs, uint64_t* lanes, int32_t ni,
                     int64_t scratch_stride, const int32_t* exact32,
                     const int64_t* exact, const int64_t* wrow, int64_t wmask,
                     int64_t* err, int64_t err_stride, int64_t* stats,
-                    int32_t nthreads)
+                    int32_t blocks, int32_t nthreads)
 {
 #define EVAL_CANDIDATE(c)                                                 \
     eval_candidate(inputs, lanes + (size_t)(c) * lane_stride_rows * W,    \
@@ -629,8 +646,8 @@ void cgp_eval_batch(const uint64_t* inputs, uint64_t* lanes, int32_t ni,
                    dst + (c) * prog_stride, out_slots + (c) * out_stride, \
                    n_bits, num_vectors, do_sign,                          \
                    scratch + (c) * scratch_stride, exact32, exact, wrow,  \
-                   wmask, err + (c) * err_stride,                         \
-                   stats ? stats + ENGINE_STATS * (int64_t)(c) : 0)
+                   wmask, err + (c) * err_stride, blocks,                 \
+                   stats ? stats + ENGINE_STATS * (int64_t)blocks * (c) : 0)
 #ifdef _OPENMP
     if (nthreads > 1 && n_cand > 1) {
 #pragma omp parallel for schedule(static) num_threads(nthreads)
@@ -780,7 +797,8 @@ class NativeLib:
             _P, _I32, _I64,                      # out_slots, n_bits, stride
             _I64, _I32, _P, _I64,                # nvec, sign, scratch+stride
             _P, _P, _P, _I64,                    # exact32, exact, weights
-            _P, _I64, _P, _I32,                  # err+stride, stats, nt
+            _P, _I64, _P, _I32, _I32,            # err+stride, stats,
+                                                 # blocks, nthreads
         ]
         lib.cgp_omp_compiled.restype = _I32
         lib.cgp_omp_compiled.argtypes = []
@@ -890,6 +908,7 @@ class NativeLib:
         stats=0,
         weight_row=0,
         weight_mask: int = 0,
+        blocks: int = 1,
     ) -> None:
         """Evaluate ``n_cand`` compiled programs in one native call.
 
@@ -907,6 +926,10 @@ class NativeLib:
         max|d|, Σ W·|d|, Σ W·[d != 0])`` with ``W[v] =
         weight_row[v & weight_mask]`` (``weight_mask`` 0: uniform
         weights ``weight_row[0]``); the err rows then stay untouched.
+        With ``blocks`` > 1 the vectors split into that many consecutive
+        equal blocks (a sampled objective's replicate streams) and each
+        candidate's stats row holds one such five-integer group per
+        block.
         """
         if nthreads > 1 and n_cand > 1:
             _mark_omp_team_used()
@@ -919,7 +942,7 @@ class NativeLib:
             num_vectors, int(signed), self._ptr(scratch), scratch_stride,
             self._ptr(exact32), self._ptr(exact), self._ptr(weight_row),
             weight_mask, self._ptr(err), err_stride, self._ptr(stats),
-            nthreads,
+            blocks, nthreads,
         )
 
     def omp_compiled(self) -> bool:

@@ -34,11 +34,13 @@ import numpy as np
 
 from .distributions import Distribution
 from .truth_tables import max_product_magnitude, vector_weights
-from .weights import IntegerWeights, as_integer_weights
+from .weights import IntegerWeights, as_integer_weights, sum_limit
 
 __all__ = [
     "MetricEstimate",
     "estimate_from_distances",
+    "replicate_stats",
+    "estimate_from_replicate_stats",
     "t_critical",
     "error_distances",
     "relative_error_distances",
@@ -246,8 +248,9 @@ class ErrorMetric:
       bit-identical across paths and hosts.
     * :meth:`from_distances` — the float form over a materialized
       distance row and float weights: ``mred`` (relative errors are not
-      integers) and the sampled estimator.  Its sums are fixed-order
-      numpy sums, never BLAS.
+      integers) and the sampled estimates that cannot reduce per
+      replicate in integers (see :func:`estimate_from_distances`).  Its
+      sums are fixed-order numpy sums, never BLAS.
 
     Attributes
     ----------
@@ -550,6 +553,11 @@ def estimate_from_distances(
     approximation.  ``worst-case`` returns ``[value, inf)`` — see
     :class:`MetricEstimate`.  Lower bounds are clamped at 0 (all five
     metrics are non-negative).
+
+    This is the float row form.  A sampled objective uses it only for
+    ``mred``, a single replicate, or replicate sums that could reach
+    ``2**63``; the rest reduce per replicate in integers
+    (:func:`estimate_from_replicate_stats`).
     """
     distances = np.asarray(distances, dtype=np.float64).ravel()
     n_total = distances.size
@@ -589,6 +597,97 @@ def estimate_from_distances(
         )
         stderr = float(contrib.std(ddof=1)) / math.sqrt(n_total)
         half = 1.96 * stderr
+    return MetricEstimate(
+        value, max(0.0, value - half), value + half, stderr, replicates
+    )
+
+
+def replicate_stats(distances: np.ndarray, replicates: int) -> tuple:
+    """Per-replicate ``(Σ|d|, #{d != 0}, max|d|)`` of a distance row.
+
+    ``distances`` holds ``replicates`` consecutive equal blocks (see
+    :func:`estimate_from_distances`); returns three lists of Python
+    ints, one entry per block — the numpy reference for what the native
+    decode sums per block in C.  A sum may wrap int64 only past the
+    bound :func:`estimate_from_replicate_stats` checks ``max|d|``
+    against.
+    """
+    d = np.asarray(distances)
+    if d.dtype != np.int64:
+        d = d.astype(np.int64)
+    rows = d.reshape(replicates, -1)
+    return (
+        rows.sum(axis=1).tolist(),
+        np.count_nonzero(rows, axis=1).tolist(),
+        rows.max(axis=1).tolist(),
+    )
+
+
+def _sample_stdev(values: Sequence[float]) -> float:
+    """Sample standard deviation (``ddof=1``) with correctly rounded
+    sums (:func:`math.fsum`), so no summation order enters the bits."""
+    mean = math.fsum(values) / len(values)
+    return math.sqrt(
+        math.fsum((x - mean) * (x - mean) for x in values)
+        / (len(values) - 1)
+    )
+
+
+def estimate_from_replicate_stats(
+    metric: "ErrorMetric",
+    sums: Sequence[int],
+    nonzeros: Sequence[int],
+    maxima: Sequence[int],
+    samples: int,
+    normalizer: float,
+) -> MetricEstimate:
+    """Estimate (with 95 % CI) from per-replicate integer statistics.
+
+    The sampled twin of :meth:`ErrorMetric.from_stats`: each of the
+    ``R = len(sums) >= 2`` replicate streams of ``samples`` vectors
+    contributes ``Σ|d|``, ``#{d != 0}`` and ``max|d|`` (the native decode
+    sums them in C; :func:`replicate_stats` takes them from a distance
+    row), and ``wmed``, ``med``, ``error-rate`` and ``worst-case`` follow
+    from those ``3R`` integers alone.  The point estimate is the pooled
+    integer ratio (``ΣΣ|d| / (R·samples) / normalizer`` for the magnitude
+    metrics), correctly rounded, so it equals the float row reduction of
+    :func:`estimate_from_distances` bit for bit wherever that one's sums
+    were exact.  The interval is the same Student-t interval over the
+    per-replicate estimates (``worst-case``: ``[value, inf)``).
+
+    Raises:
+        ValueError: For ``mred`` or fewer than two replicates (they stay
+            on the distance row), or when ``max|d|`` exceeds what a
+            replicate's sum holds exactly (:func:`~repro.errors.weights
+            .sum_limit` of ``samples``).
+    """
+    replicates = len(sums)
+    if replicates < 2:
+        raise ValueError("replicate statistics need at least 2 replicates")
+    top = max(maxima)
+    if top > sum_limit(samples):
+        raise ValueError(
+            f"error distance {top} exceeds {sum_limit(samples)}, the "
+            f"largest whose sum over {samples} samples fits int64"
+        )
+    name = metric.name
+    if name == "worst-case":
+        value = top / normalizer
+        stderr = _sample_stdev(
+            [m / normalizer for m in maxima]
+        ) / math.sqrt(replicates)
+        return MetricEstimate(value, value, float("inf"), stderr, replicates)
+    total = samples * replicates
+    if name in ("wmed", "med"):
+        value = sum(sums) / total / normalizer
+        per_rep = [s / samples / normalizer for s in sums]
+    elif name == "error-rate":
+        value = sum(nonzeros) / total
+        per_rep = [c / samples for c in nonzeros]
+    else:
+        raise ValueError(f"metric {name!r} has no replicate-statistics form")
+    stderr = _sample_stdev(per_rep) / math.sqrt(replicates)
+    half = t_critical(replicates - 1) * stderr
     return MetricEstimate(
         value, max(0.0, value - half), value + half, stderr, replicates
     )

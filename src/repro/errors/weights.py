@@ -48,6 +48,7 @@ __all__ = [
     "weight_total",
     "output_bits",
     "distance_bound",
+    "sum_limit",
     "as_integer_weights",
 ]
 
@@ -88,6 +89,16 @@ def distance_bound(
     else:
         lo, hi = 0, (1 << num_outputs) - 1
     return max(int(reference.max()) - lo, hi - int(reference.min()), 0)
+
+
+def sum_limit(count: int) -> int:
+    """Largest ``|d|`` whose sum over ``count`` terms stays below ``2**63``.
+
+    The one overflow rule of every int64 reduction: the plain ``Σ|d|``
+    over ``count`` vectors, the weighted ``Σ W·|d|`` with ``count =
+    ΣW``, and a sampled objective's per-replicate sums.
+    """
+    return (_INT64_LIMIT - 1) // max(int(count), 1)
 
 
 def _apportion(shares: np.ndarray, total: int) -> np.ndarray:
@@ -146,9 +157,7 @@ class IntegerWeights:
         self.num_vectors = int(num_vectors)
         # Weights that quantize exactly may total less than the vector
         # count, so the plain sum needs its own bound.
-        self.max_distance = (_INT64_LIMIT - 1) // max(
-            self.total, self.num_vectors
-        )
+        self.max_distance = sum_limit(max(self.total, self.num_vectors))
         self.owner = owner or "weights"
 
     @classmethod

@@ -70,7 +70,8 @@ WORKER_PID = REGISTRY.gauge(
 # -- engine ------------------------------------------------------------
 ENGINE_EVALS = REGISTRY.counter(
     "repro_engine_evals_total",
-    "Candidate evaluations served (including eval-cache hits).")
+    "Candidate evaluations served: every brood candidate, and lone "
+    "evaluations including eval-cache hits.")
 ENGINE_EVAL_NS = REGISTRY.counter(
     "repro_engine_eval_ns_total",
     "Nanoseconds spent in evaluate()/evaluate_batch() bodies.")
@@ -91,7 +92,8 @@ ENGINE_BATCH_EVALS = REGISTRY.counter(
     "Candidate lanes evaluated by batched kernel dispatches.")
 ENGINE_BATCH_DEDUP = REGISTRY.counter(
     "repro_engine_batch_dedup_total",
-    "Batch candidates answered by in-brood phenotype deduplication.")
+    "Always 0: broods are no longer deduplicated; kept registered for "
+    "readers of the name until ROADMAP item 2 removes it.")
 ENGINE_BATCH_SIZE = REGISTRY.histogram(
     "repro_engine_batch_size",
     "Lanes per batched kernel dispatch.",

@@ -4,11 +4,12 @@ The batch path's contract is the same as the engine's overall: *bit
 identical* to evaluating sequentially — same compiled programs, same
 integer kernels, same reductions — whatever the component, metric,
 backend, schedule (the fused OpenMP call or the serial chunked loop),
-or brood composition (duplicates, cache hits).  On top of that sit the
-batch-specific behaviors: within-batch phenotype dedupe, the eval-cache
-lookup that prevents recompiled cache-miss storms, the single-owner
-arena guard, the rule each runtime picks its schedule by, and the
-exact-integer decode statistics every metric but mred reduces from.
+or brood composition (duplicate phenotypes).  On top of that sit the
+batch-specific behaviors: every candidate compiles and runs a lane
+(no hashing, cache lookup or dedupe), the compile's active set is
+adopted by every candidate, the single-owner arena guard, the rule each
+runtime picks its schedule by, and the exact-integer decode statistics
+every metric but mred reduces from.
 """
 
 from __future__ import annotations
@@ -21,13 +22,11 @@ import numpy as np
 import pytest
 
 from repro.core.components import component_objective, component_names, get_component
-from repro.core.evolution import EvolutionConfig, evolve
 from repro.core.mutation import mutate
 from repro.core.seeding import netlist_to_chromosome, params_for_netlist
 from repro.core.components import sampled_component_objective
 from repro.core.objective import SampleSpec
 from repro.engine import (
-    CompiledMultiplierFitness,
     CompiledObjective,
     CompiledSampledObjective,
     native_available,
@@ -110,10 +109,8 @@ def test_batch_bit_identical_to_sequential(
     # A lone evaluate() always runs serial.
     sequential = [seq_obj.evaluate(c, 0.05) for c in brood]
     assert batched == sequential
+    assert batched[-1] == batched[0]
     assert batch_obj.stats()["omp"]["schedule"] == _schedule_of(path)
-    # Second pass is fully cache-served and still identical.
-    assert batch_obj.evaluate_batch(brood, 0.05) == sequential
-    assert batch_obj.cache.stats()["hits"] >= len(brood)
     # And both equal the interpreted objective.
     interpreted = component_objective(
         component, width, uniform(width), metric=metric
@@ -164,42 +161,27 @@ def test_empty_and_singleton_batches():
 
 
 # ----------------------------------------------------------------------
-# Within-batch dedupe + cache lookup (the miss-storm fix)
+# A brood candidate costs one compile and one native call
 # ----------------------------------------------------------------------
-def test_batch_dedupes_identical_phenotypes():
-    obj = _objective("multiplier", 4, "wmed", "auto")
+@pytest.mark.parametrize("path", PATHS)
+def test_batch_never_hashes_and_runs_every_candidate(path, monkeypatch):
+    # Identical phenotypes run a lane each: no signature, cache lookup
+    # or in-brood dedupe on the brood path.
+    backend = _use_path(path, monkeypatch)
+    obj = _objective("multiplier", 4, "wmed", backend)
     ch = _seed_chromosome("multiplier", 4)
-    brood = [ch, ch.copy(), ch.copy(), ch.copy()]
+    brood = [ch, ch.copy(), ch.copy()] + _brood("multiplier", 4, 3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("evaluate_batch hashed a candidate")
+
+    monkeypatch.setattr(engine_evaluator, "phenotype_signature", forbidden)
     results = obj.evaluate_batch(brood, 0.01)
-    assert len(set(results)) == 1
-    st = obj.stats()["batch"]
-    # One phenotype executed; the other three were deduped in-batch.
-    assert st["evals"] == 1
-    assert st["dedup"] == 3
-
-
-def test_batch_serves_cache_before_dispatch():
-    obj = _objective("multiplier", 4, "wmed", "auto")
-    brood = _brood("multiplier", 4, 5)
-    obj.evaluate_batch(brood, 0.01)
-    evals_before = obj.stats()["batch"]["evals"]
-    obj.evaluate_batch(brood, 0.01)  # all phenotypes already cached
-    st = obj.stats()
-    assert st["batch"]["evals"] == evals_before
-    assert st["cache"]["hits"] >= len(brood)
-
-
-def test_seeded_evolve_run_has_cache_hits():
-    # Regression for the eval-cache miss storm: a short seeded run must
-    # produce a nonzero hit rate (neutral drift revisits phenotypes).
-    eng = CompiledMultiplierFitness(3, uniform(3))
-    seed = _seed_chromosome("multiplier", 3)
-    evolve(
-        seed, eng, 0.01, EvolutionConfig(generations=400),
-        rng=np.random.default_rng(2024),
-    )
-    stats = eng.stats()["cache"]
-    assert stats["hits"] > 0
+    assert results[0] == results[1] == results[2]
+    assert obj.stats()["batch"] == {"calls": 1, "evals": len(brood)}
+    assert obj.cache.stats()["hits"] == obj.cache.stats()["misses"] == 0
+    assert obj.evaluate_batch(brood, 0.01) == results
+    assert obj.stats()["batch"] == {"calls": 2, "evals": 2 * len(brood)}
 
 
 # ----------------------------------------------------------------------
@@ -332,14 +314,18 @@ def test_fast_reduce_takes_integer_path_for_every_exhaustive_metric():
                 component_objective("multiplier", 4, dist, metric=metric)
             )
             assert obj.stats()["fast_reduce"] == kind
-    # Sampled objectives keep the distance row for their intervals.
-    sampled = CompiledSampledObjective(
-        sampled_component_objective(
-            "multiplier", 4, distribution_from_spec("d2", 4, False),
-            SampleSpec(64, 2, seed=0),
+    # Sampled objectives reduce per replicate in integers too, but for
+    # mred or a single replicate.
+    for metric, spec, kind in (("wmed", SampleSpec(64, 2, seed=0), "wmed"),
+                               ("mred", SampleSpec(64, 2, seed=0), None),
+                               ("wmed", SampleSpec(64, 1, seed=0), None)):
+        sampled = CompiledSampledObjective(
+            sampled_component_objective(
+                "multiplier", 4, distribution_from_spec("d2", 4, False),
+                spec, metric=metric,
+            )
         )
-    )
-    assert sampled.stats()["fast_reduce"] is None
+        assert sampled.stats()["fast_reduce"] == kind
 
 
 WEIGHT_LAWS = (

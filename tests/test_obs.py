@@ -326,7 +326,7 @@ def test_engine_stats_shape_and_registry_deltas():
         "backend", "cache", "fast_reduce", "runtimes", "fallback", "batch",
         "omp",
     }
-    assert set(stats["batch"]) == {"calls", "evals", "dedup"}
+    assert set(stats["batch"]) == {"calls", "evals"}
     # The brood schedule the runtime picked (a width-W stimulus is too
     # small for the OpenMP team).
     assert set(stats["omp"]) == {"compiled", "threads", "schedule"}
@@ -341,8 +341,8 @@ def test_engine_stats_shape_and_registry_deltas():
             == stats["batch"]["calls"])
     assert (obs_catalog.ENGINE_BATCH_EVALS.value - before["batch_evals"]
             == stats["batch"]["evals"])
-    assert (obs_catalog.ENGINE_BATCH_DEDUP.value - before["batch_dedup"]
-            == stats["batch"]["dedup"])
+    # Broods are never deduplicated; the counter stays registered at 0.
+    assert obs_catalog.ENGINE_BATCH_DEDUP.value == before["batch_dedup"]
     assert (obs_catalog.ENGINE_CACHE_HITS.value - before["cache_hits"]
             == stats["cache"]["hits"])
     assert (obs_catalog.ENGINE_CACHE_MISSES.value - before["cache_misses"]

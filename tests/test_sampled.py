@@ -23,16 +23,25 @@ from repro.core.objective import (
     SampledObjective,
     draw_sampled_stimulus,
 )
-from repro.engine import CompiledObjective, CompiledSampledObjective
+from repro.engine import (
+    CompiledObjective,
+    CompiledSampledObjective,
+    native_available,
+)
+from repro.engine import evaluator as engine_evaluator
+from repro.engine.native import omp_threads
 from repro.errors.distributions import (
     distribution_from_spec,
     paper_d2,
     uniform,
 )
 from repro.errors.metrics import (
+    ErrorMetric,
     estimate_from_distances,
+    estimate_from_replicate_stats,
     get_metric,
     metric_names,
+    replicate_stats,
     t_critical,
 )
 
@@ -262,15 +271,136 @@ def test_cache_key_separates_sample_specs(mutant):
     )
 
 
-def test_fast_reduce_disabled_for_sampled():
-    # Uniform weights would make wmed eligible for the integer fast
-    # path, but sampled mode must keep the distance row for the CI.
+def test_fast_reduce_enabled_for_sampled():
+    # The estimate and its interval come from per-replicate integer
+    # sums, so a sampled objective takes the integer fast path.
     obj = CompiledSampledObjective(
         sampled_component_objective(
             "multiplier", WIDTH, uniform(WIDTH), SampleSpec(256, 2, seed=0)
         )
     )
-    assert obj.stats()["fast_reduce"] is None
+    assert obj.replicate_reduce
+    assert obj.stats()["fast_reduce"] == "wmed"
+
+
+# ----------------------------------------------------------------------
+# Replicate statistics: estimates from per-replicate integer sums
+# ----------------------------------------------------------------------
+#: Evaluation paths: the numpy backend, then the native backend under
+#: each brood schedule ("native-threaded" forces the fused OpenMP call).
+SAMPLED_PATHS = ["numpy"] + (
+    ["native"] + (["native-threaded"] if omp_threads() > 1 else [])
+    if native_available() else []
+)
+
+
+def _measure(result):
+    return (result.wmed, result.area, result.ci_low, result.ci_high)
+
+
+@pytest.mark.parametrize("samples", [256, 300])
+@pytest.mark.parametrize("replicates", [2, 8])
+@pytest.mark.parametrize("metric", ("wmed", "med", "error-rate", "worst-case"))
+def test_replicate_estimates_identical_on_every_path(
+    metric, replicates, samples, monkeypatch
+):
+    spec = SampleSpec(samples, replicates, seed=21)
+
+    def build():
+        return sampled_component_objective(
+            "multiplier", WIDTH, paper_d2(WIDTH), spec, metric=metric
+        )
+
+    candidates = [_mutant(steps=k + 1, seed=5) for k in range(5)]
+    interpreted = build()
+    assert interpreted.replicate_reduce
+    want = [_measure(interpreted.evaluate(c, 0.01)) for c in candidates]
+    assert all(lo <= v <= hi for v, _, lo, hi in want)
+    if samples == 256:
+        # Power-of-two counts and sums far below 2**53: the float row
+        # reduction was exact, so the point estimate keeps its bits.
+        for c, (value, _, _, _) in zip(candidates, want):
+            row = estimate_from_distances(
+                interpreted.metric, interpreted.error_distances(c),
+                interpreted.normalizer, interpreted.reference, replicates,
+            )
+            assert value == row.value
+    for path in SAMPLED_PATHS:
+        threaded = path == "native-threaded"
+        monkeypatch.setattr(
+            engine_evaluator, "_THREADED_MIN_WORDS",
+            1 if threaded else 1 << 62,
+        )
+        backend = "numpy" if path == "numpy" else "native"
+        single = CompiledSampledObjective(build(), backend=backend)
+        batch = CompiledSampledObjective(build(), backend=backend)
+        if backend == "native":
+            # The decode reduces natively: no distance row is estimated.
+            def forbidden(*args, **kwargs):
+                raise AssertionError("a native estimate read the row")
+
+            monkeypatch.setattr(
+                SampledObjective, "estimate_distances", forbidden
+            )
+            monkeypatch.setattr(ErrorMetric, "from_distances", forbidden)
+        assert [_measure(single.evaluate(c, 0.01)) for c in candidates] == want
+        assert [
+            _measure(r) for r in batch.evaluate_batch(candidates, 0.01)
+        ] == want
+        assert batch.stats()["fast_reduce"] == metric
+        assert batch.stats()["omp"]["schedule"] == (
+            "threaded" if threaded else "serial"
+        )
+        monkeypatch.undo()
+
+
+@pytest.mark.skipif(not native_available(), reason="native backend only")
+@pytest.mark.parametrize("width,samples", [(WIDTH, 300), (12, 256)])
+def test_native_replicate_stats_equal_the_row_reduction(width, samples):
+    # Width 8's 16-bit bus takes the narrow AVX2 decode loop (300-vector
+    # blocks start mid-word), width 12's 24-bit bus the wide loop.
+    replicates = 4
+    obj = CompiledSampledObjective(
+        sampled_component_objective(
+            "multiplier", width, paper_d2(width),
+            SampleSpec(samples, replicates, seed=2),
+        ),
+        backend="native",
+    )
+    brood = [_mutant(width=width, steps=k + 2, seed=7) for k in range(4)]
+    rt = obj._runtime(brood[0].params)
+    rt.ensure_batch(len(brood))
+    for k, chrom in enumerate(brood):
+        rt.compile_into_lane(chrom.genes, k)
+    want = []
+    for k in range(len(brood)):
+        sums, nonzeros, maxima = replicate_stats(
+            rt.execute_lane(k, obj.signed), replicates
+        )
+        stats = rt.execute_lane_stats(k, obj.signed)
+        assert stats[0::5] == sums
+        assert stats[1::5] == nonzeros
+        assert stats[2::5] == maxima
+        assert stats[3::5] == stats[4::5] == [0] * replicates
+        want.append(stats)
+    if omp_threads() > 1:
+        rt.execute_batch(len(brood), obj.signed, 2, stats=True)
+        assert rt.arena.batch_stats[: len(brood)].tolist() == want
+
+
+def test_replicate_stats_refuse_sums_past_int64():
+    wmed = get_metric("wmed")
+    est = estimate_from_replicate_stats(
+        wmed, [3, 5], [1, 2], [3, 4], 4, 10.0
+    )
+    assert est.value == 8 / 8 / 10.0
+    with pytest.raises(ValueError, match="fits int64"):
+        estimate_from_replicate_stats(
+            wmed, [0, 0], [0, 0], [0, 1 << 62], 4, 1.0
+        )
+    with pytest.raises(ValueError):
+        estimate_from_replicate_stats(get_metric("mred"), [0, 0], [0, 0],
+                                      [0, 0], 4, 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -114,6 +114,19 @@ def test_wide_sampled_engine_equals_interpreter(
         assert stats["fallback"] == []
 
 
+def test_replicate_sums_that_could_reach_2_63_stay_on_the_row():
+    # A 62-bit bus can reach |d| ~ 2**62, so 128-sample replicate sums
+    # could wrap int64: width 31 keeps the float row form, width 24's
+    # 48-bit bus reduces per replicate in integers.
+    for width, integer in ((24, True), (31, False)):
+        objective = sampled_component_objective(
+            "multiplier", width, paper_d2(width), SPEC
+        )
+        assert objective.replicate_reduce is integer
+        engine = CompiledSampledObjective(objective)
+        assert engine.stats()["fast_reduce"] == ("wmed" if integer else None)
+
+
 #: (component, width, signed) for the reference oracle: widths 12-31
 #: (the MAC's ni = 4w + 1 caps it at 15), signed where supported.
 ORACLE_CASES = [
