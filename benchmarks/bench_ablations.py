@@ -19,8 +19,8 @@ from repro.analysis import format_table
 from repro.circuits.generators import build_baugh_wooley_multiplier
 from repro.core import (
     EvolutionConfig,
-    MultiplierFitness,
     evolve,
+    multiplier_objective,
     netlist_to_chromosome,
     params_for_netlist,
     random_chromosome,
@@ -51,8 +51,8 @@ def _run(seed, evaluator, config, rng_seed):
 
 def test_ablation_distribution_weighting(setup, report, benchmark):
     seed, _params, d, du = setup
-    fit_d = MultiplierFitness(WIDTH, d)
-    fit_u = MultiplierFitness(WIDTH, du)
+    fit_d = multiplier_objective(WIDTH, d)
+    fit_u = multiplier_objective(WIDTH, du)
     benchmark.pedantic(
         _run, args=(seed, fit_d, EvolutionConfig(generations=50), 0),
         rounds=3, iterations=1,
@@ -63,7 +63,7 @@ def test_ablation_distribution_weighting(setup, report, benchmark):
     for name, fit in (("driven by Dh", fit_d), ("driven by Du", fit_u)):
         runs = [_run(seed, fit, cfg, 500 + k) for k in range(3)]
         best = min(runs, key=lambda r: r.best_eval.fitness)
-        cross = MultiplierFitness(WIDTH, d).wmed(best.best)
+        cross = fit_d.error(best.best)
         rows.append(
             [name, best.best_eval.area, 100 * best.best_eval.wmed, 100 * cross]
         )
@@ -84,7 +84,7 @@ def test_ablation_distribution_weighting(setup, report, benchmark):
 
 def test_ablation_seeding(setup, report, benchmark):
     seed, params, d, _du = setup
-    fit = MultiplierFitness(WIDTH, d)
+    fit = multiplier_objective(WIDTH, d)
     cfg = EvolutionConfig(generations=GENS)
     benchmark.pedantic(
         _run, args=(seed, fit, EvolutionConfig(generations=50), 1),
@@ -118,7 +118,7 @@ def test_ablation_seeding(setup, report, benchmark):
 
 def test_ablation_error_tie_break(setup, report, benchmark):
     seed, _params, d, _du = setup
-    fit = MultiplierFitness(WIDTH, d)
+    fit = multiplier_objective(WIDTH, d)
     benchmark.pedantic(
         _run, args=(seed, fit, EvolutionConfig(generations=50), 2),
         rounds=3, iterations=1,

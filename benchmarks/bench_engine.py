@@ -4,7 +4,7 @@
 Measures, for one operand width:
 
 * **single-candidate evaluation** — the interpreted
-  ``MultiplierFitness`` path vs. the engine with caching disabled (every
+  ``multiplier_objective`` path vs. the engine with caching disabled (every
   evaluation compiles + simulates + decodes from scratch) and vs. the
   engine's cache-hit path, each pair timed in interleaved rounds; the
   speedups are medians of the per-round ratios, so a host slowdown that
@@ -67,18 +67,17 @@ from repro.circuits.generators import build_array_multiplier  # noqa: E402
 from repro.core.components import (  # noqa: E402
     COMPONENTS,
     component_objective,
+    multiplier_objective,
     sampled_component_objective,
 )
 from repro.core.mutation import mutate  # noqa: E402
 from repro.core.objective import SampleSpec  # noqa: E402
 from repro.core.evolution import EvolutionConfig, evolve  # noqa: E402
-from repro.core.fitness import MultiplierFitness  # noqa: E402
 from repro.core.seeding import (  # noqa: E402
     netlist_to_chromosome,
     params_for_netlist,
 )
 from repro.engine import (  # noqa: E402
-    CompiledMultiplierFitness,
     CompiledObjective,
     CompiledSampledObjective,
     native_available,
@@ -132,9 +131,9 @@ def bench_single_eval(width: int, reps: int, rounds: int) -> dict:
     dist = uniform(width, signed=False)
     threshold = 0.01
 
-    baseline = MultiplierFitness(width, dist)
-    engine_cold = CompiledMultiplierFitness(width, dist, cache_entries=0)
-    engine_cached = CompiledMultiplierFitness(width, dist)
+    baseline = multiplier_objective(width, dist)
+    engine_cold = CompiledObjective(baseline, cache_entries=0)
+    engine_cached = CompiledObjective(baseline)
 
     def fresh():
         c = chrom.copy()
@@ -327,10 +326,10 @@ def bench_evolve(
         )
         return result, time.perf_counter() - t0
 
-    base_res, base_s = run(MultiplierFitness(width, dist))
+    base_res, base_s = run(multiplier_objective(width, dist))
     engine_runs = []
     for _ in range(EVOLVE_REPEATS):
-        evaluator = CompiledMultiplierFitness(width, dist)
+        evaluator = CompiledObjective(multiplier_objective(width, dist))
         engine_runs.append((*run(evaluator), evaluator))
     identical = all(
         base_res.history == res.history

@@ -13,12 +13,12 @@ Du-evolved series wins; the baselines trail everywhere.
 import numpy as np
 import pytest
 
-from repro.analysis import characterize_multiplier, format_table, pareto_points
+from repro.analysis import characterize_design, format_table, pareto_points
 from repro.baselines import (
     build_broken_array_multiplier,
     build_truncated_multiplier,
 )
-from repro.core import MultiplierFitness, netlist_to_chromosome
+from repro.core import multiplier_objective, netlist_to_chromosome
 from repro.errors import paper_d1, paper_d2, uniform
 
 
@@ -31,12 +31,12 @@ def baseline_points():
     for k in range(0, 9, 2):
         net = build_truncated_multiplier(8, k, signed=False)
         points.append(
-            characterize_multiplier(net, 8, dists, source="truncated")
+            characterize_design(net, 8, dists, source="truncated")
         )
     for vbl in (4, 6, 8, 10):
         net = build_broken_array_multiplier(8, vbl, vbl // 4, signed=False)
         points.append(
-            characterize_multiplier(net, 8, dists, source="broken-array")
+            characterize_design(net, 8, dists, source="broken-array")
         )
     return points
 
@@ -108,7 +108,7 @@ def test_fig3_wmed_evaluation_kernel(benchmark, cs1_fronts):
     """Benchmark the inner-loop cost: one exhaustive WMED evaluation."""
     from repro.circuits.generators import build_array_multiplier
 
-    evaluator = MultiplierFitness(8, paper_d2(8))
+    evaluator = multiplier_objective(8, paper_d2(8))
     chromosome = netlist_to_chromosome(build_array_multiplier(8))
     result = benchmark(evaluator.evaluate, chromosome, 0.01)
     assert result.wmed == 0.0

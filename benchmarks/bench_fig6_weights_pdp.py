@@ -18,8 +18,8 @@ import pytest
 from repro.analysis import format_pmf_sparkline, format_table, mac_summary
 from repro.circuits.generators import build_baugh_wooley_multiplier
 from repro.core import (
-    MultiplierFitness,
     evolve,
+    multiplier_objective,
     netlist_to_chromosome,
     params_for_netlist,
 )
@@ -75,13 +75,13 @@ def test_fig6_pdp_boxplot(bench_config, mnist_setup, svhn_setup, report, benchma
     params = params_for_netlist(seed_net, extra_columns=20)
     seed = netlist_to_chromosome(seed_net, params)
     benchmark(
-        MultiplierFitness(8, mnist_setup.weight_dist).evaluate, seed, 0.001
+        multiplier_objective(8, mnist_setup.weight_dist).evaluate, seed, 0.001
     )
 
     rows = []
     reduction_at_deepest = {}
     for setup in (svhn_setup, mnist_setup):
-        evaluator = MultiplierFitness(8, setup.weight_dist)
+        evaluator = multiplier_objective(8, setup.weight_dist)
         exact_pdp = mac_summary(
             seed_net, 8, setup.weight_dist, rng=np.random.default_rng(0)
         ).pdp

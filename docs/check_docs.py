@@ -5,7 +5,8 @@ Documentation rots in predictable ways: a snippet imports a name that
 was renamed, a CLI example uses a flag that no longer exists, a curl
 example hits an endpoint that was never wired up.  This script walks
 every fenced code block in ``README.md`` and ``docs/*.md`` and checks
-each kind against the live implementation:
+each kind against the live implementation, and checks the example and
+benchmark scripts like python fences:
 
 * ``python`` fences — must compile, and every ``import``/``from`` of a
   ``repro`` module must resolve (module imports, names exist).  This is
@@ -19,6 +20,10 @@ each kind against the live implementation:
 * curl lines (any fence) — the URL path must match a route in the
   serving layer's route table, and every query parameter must be one
   the route declares.
+* ``examples/*.py`` and ``benchmarks/*.py`` — checked as python fences
+  (parse + ``repro`` imports resolve).  The test suite imports neither
+  the examples nor the paper-claim benches, so a deleted name would
+  otherwise break them silently.
 
 Run from the repo root (CI does, as does ``tests/test_docs.py``)::
 
@@ -66,7 +71,7 @@ def check_python(body: str, where: str, errors: List[str]) -> None:
     try:
         tree = ast.parse(body)
     except SyntaxError as exc:
-        errors.append(f"{where}: python fence does not parse: {exc}")
+        errors.append(f"{where}: does not parse as python: {exc}")
         return
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -207,6 +212,13 @@ def doc_files() -> List[str]:
     return files
 
 
+def script_files() -> List[str]:
+    return sorted(
+        glob.glob(os.path.join(REPO, "examples", "*.py"))
+        + glob.glob(os.path.join(REPO, "benchmarks", "*.py"))
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     parser.add_argument(
@@ -231,14 +243,23 @@ def main(argv=None) -> int:
             checked += 1
             if args.list:
                 print(f"checked {where} ({language})")
+    scripts = script_files()
+    for path in scripts:
+        rel = os.path.relpath(path, REPO)
+        with open(path) as fh:
+            check_python(fh.read(), rel, errors)
+        if args.list:
+            print(f"checked {rel} (script)")
 
     if errors:
         for error in errors:
             print(f"DRIFT: {error}", file=sys.stderr)
-        print(f"{len(errors)} problem(s) in {checked} fences",
-              file=sys.stderr)
+        print(f"{len(errors)} problem(s) in {checked} fences and "
+              f"{len(scripts)} scripts", file=sys.stderr)
         return 1
     print(f"all {checked} documentation fences match the implementation")
+    print(f"repro imports resolve in all {len(scripts)} example and "
+          "benchmark scripts")
     return 0
 
 

@@ -19,8 +19,8 @@ from repro.circuits.generators import build_array_multiplier
 from repro.circuits.simulator import truth_table
 from repro.core import (
     EvolutionConfig,
-    MultiplierFitness,
     evolve,
+    multiplier_objective,
     netlist_to_chromosome,
     params_for_netlist,
 )
@@ -45,7 +45,7 @@ def evolve_d2_multiplier():
     chromosome = netlist_to_chromosome(
         seed, params_for_netlist(seed, extra_columns=20)
     )
-    evaluator = MultiplierFitness(WIDTH, paper_d2(WIDTH))
+    evaluator = multiplier_objective(WIDTH, paper_d2(WIDTH))
     result = evolve(
         chromosome,
         evaluator,

@@ -5,10 +5,9 @@ a half-normal operand distribution (small |x| values dominate, like NN
 weights), then compared against the same search driven by the uniform
 distribution.
 
-Everything goes through the post-PR-2 objective layer: the sweep
-builds a :class:`repro.core.objective.CircuitObjective` per run from
-``component=`` + ``metric=`` (the deprecated ``MultiplierFitness``
-path is gone from new code), and candidate evaluation runs on the
+Everything goes through the objective layer: the sweep builds a
+:class:`repro.core.objective.CircuitObjective` per run from
+``component=`` + ``metric=``, and candidate evaluation runs on the
 compiled engine by default.
 
 Usage::

@@ -13,10 +13,8 @@ from .sweep import (
     DesignPoint,
     characterize_design,
     characterize_design_sampled,
-    characterize_multiplier,
     evolve_front,
     grid_front,
-    make_evaluator,
     make_objective,
     mac_summary,
     parallel_front,
@@ -35,11 +33,9 @@ __all__ = [
     "DesignPoint",
     "characterize_design",
     "characterize_design_sampled",
-    "characterize_multiplier",
     "evolve_front",
     "grid_front",
     "parallel_front",
-    "make_evaluator",
     "make_objective",
     "mac_summary",
     "dominates",

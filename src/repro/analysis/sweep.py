@@ -46,7 +46,11 @@ import numpy as np
 from ..circuits.netlist import Netlist
 from ..circuits.simulator import truth_table
 from ..core.chromosome import Chromosome
-from ..core.components import get_component
+from ..core.components import (
+    component_objective,
+    get_component,
+    sampled_component_objective,
+)
 from ..core.evolution import EvolutionConfig, EvolutionResult, evolve
 from ..core.objective import CircuitObjective, SampleSpec, objective_weights
 from ..core.seeding import netlist_to_chromosome, params_for_netlist
@@ -62,12 +66,10 @@ __all__ = [
     "canonical_combos",
     "characterize_design",
     "characterize_design_sampled",
-    "characterize_multiplier",
     "evolve_front",
     "parallel_front",
     "grid_front",
     "make_objective",
-    "make_evaluator",
     "mac_summary",
     "PAPER_WMED_LEVELS",
 ]
@@ -237,7 +239,6 @@ def characterize_design_sampled(
     ``DesignPoint.table`` holds the design's outputs *at the activity
     sample's vectors* — not a truth table indexed by vector.
     """
-    from ..core.components import sampled_component_objective
     from ..tech.area import circuit_area
     from ..tech.power import circuit_power
     from ..tech.timing import critical_path_delay
@@ -291,32 +292,6 @@ def characterize_design_sampled(
         evolution=evolution,
         component=comp.name,
         metric=get_metric(metric).name,
-    )
-
-
-def characterize_multiplier(
-    netlist: Netlist,
-    width: int,
-    dists: Sequence[Distribution],
-    name: str = "",
-    source: str = "",
-    threshold_percent: float = float("nan"),
-    library: Optional[TechLibrary] = None,
-    activity_dist: Optional[Distribution] = None,
-    evolution: Optional[EvolutionResult] = None,
-) -> DesignPoint:
-    """Multiplier instance of :func:`characterize_design` (legacy name)."""
-    return characterize_design(
-        netlist,
-        width,
-        dists,
-        component="multiplier",
-        name=name,
-        source=source,
-        threshold_percent=threshold_percent,
-        library=library,
-        activity_dist=activity_dist,
-        evolution=evolution,
     )
 
 
@@ -398,54 +373,24 @@ def make_objective(
     intervals — the only mode available past each component's exhaustive
     ``max_width``.
     """
-    from ..core.components import component_objective, get_component
-
-    comp = get_component(component)
+    if engine not in ("off", "auto", "native", "numpy"):
+        raise ValueError(f"unknown engine mode {engine!r}")
     if sample is not None:
-        from ..core.components import sampled_component_objective
-
         objective = sampled_component_objective(
-            comp.name, width, design_dist, sample,
+            component, width, design_dist, sample,
             metric=metric, library=library,
         )
-        if engine == "off":
-            return objective
-        if engine not in ("auto", "native", "numpy"):
-            raise ValueError(f"unknown engine mode {engine!r}")
-        from ..engine import CompiledSampledObjective
-
-        return CompiledSampledObjective(objective, backend=engine)
+    else:
+        objective = component_objective(
+            component, width, design_dist, metric=metric, library=library
+        )
     if engine == "off":
-        return component_objective(
-            comp.name, width, design_dist, metric=metric, library=library
-        )
-    if engine not in ("auto", "native", "numpy"):
-        raise ValueError(f"unknown engine mode {engine!r}")
-    from ..engine import CompiledMultiplierFitness, CompiledObjective
+        return objective
+    from ..engine import CompiledObjective, CompiledSampledObjective
 
-    if comp.name == "multiplier":
-        # Keep the legacy class identity (isinstance checks, `.exact`)
-        # that pre-objective-layer callers of make_evaluator rely on.
-        return CompiledMultiplierFitness(
-            width, design_dist, library=library, backend=engine,
-            metric=metric,
-        )
-    return CompiledObjective(
-        component_objective(
-            comp.name, width, design_dist, metric=metric, library=library
-        ),
-        backend=engine,
-    )
-
-
-def make_evaluator(
-    width: int,
-    design_dist: Distribution,
-    library: Optional[TechLibrary] = None,
-    engine: str = "auto",
-) -> CircuitObjective:
-    """Deprecated alias: the multiplier/WMED case of :func:`make_objective`."""
-    return make_objective(width, design_dist, library=library, engine=engine)
+    if sample is not None:
+        return CompiledSampledObjective(objective, backend=engine)
+    return CompiledObjective(objective, backend=engine)
 
 
 def _check_component_signedness(comp, dist: Distribution) -> None:

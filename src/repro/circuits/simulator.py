@@ -177,45 +177,18 @@ def pack_input_vectors(vectors: np.ndarray, num_inputs: int) -> np.ndarray:
     return out8.view("<u8")
 
 
-def simulate(
-    netlist: Netlist,
-    input_words: np.ndarray,
-    active_only: bool = True,
-) -> List[np.ndarray]:
-    """Evaluate a netlist over packed stimulus.
+def simulate(netlist: Netlist, input_words: np.ndarray) -> List[np.ndarray]:
+    """Evaluate a netlist's output cone over packed stimulus.
 
     Args:
         netlist: Circuit to simulate (must satisfy ``validate()``).
         input_words: Array of shape ``(num_inputs, W)`` as produced by
             :func:`exhaustive_inputs` or :func:`pack_input_vectors`.
-        active_only: Evaluate only gates in the output cone (default).
 
     Returns:
         One packed word array per primary output, each of shape ``(W,)``.
     """
-    if input_words.shape[0] != netlist.num_inputs:
-        raise ValueError(
-            f"stimulus has {input_words.shape[0]} rows, "
-            f"netlist expects {netlist.num_inputs}"
-        )
-    width = input_words.shape[1]
-    values: List[Optional[np.ndarray]] = [None] * netlist.num_signals
-    for k in range(netlist.num_inputs):
-        values[k] = np.ascontiguousarray(input_words[k])
-
-    if active_only:
-        indices: Sequence[int] = netlist.active_gate_indices()
-    else:
-        indices = range(len(netlist.gates))
-
-    zeros = np.zeros(width, dtype=np.uint64)
-    for k in indices:
-        gate = netlist.gates[k]
-        spec = gate_function(gate.fn)
-        a = values[gate.inputs[0]] if spec.arity >= 1 else zeros
-        b = values[gate.inputs[1]] if spec.arity >= 2 else zeros
-        values[netlist.gate_signal(k)] = spec.packed(a, b)
-
+    values = simulate_signals(netlist, input_words)
     outs = []
     for out in netlist.outputs:
         val = values[out]

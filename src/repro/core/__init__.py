@@ -19,11 +19,10 @@ from .components import (
     subtractor_objective,
 )
 from .evolution import EvolutionConfig, EvolutionResult, evolve
-from .fitness import EvalResult, MultiplierFitness
-from .generic_fitness import CircuitFitness
 from .mutation import mutate, random_gene_value
 from .objective import (
     CircuitObjective,
+    EvalResult,
     SampledEvalResult,
     SampledObjective,
     SampledStimulus,
@@ -37,7 +36,6 @@ from .serialization import chromosome_from_string, chromosome_to_string
 __all__ = [
     "AnnealingConfig",
     "anneal",
-    "CircuitFitness",
     "CircuitObjective",
     "COMPONENTS",
     "ComponentSpec",
@@ -65,7 +63,6 @@ __all__ = [
     "EvolutionResult",
     "evolve",
     "EvalResult",
-    "MultiplierFitness",
     "mutate",
     "random_gene_value",
     "dominates",

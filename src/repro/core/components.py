@@ -483,6 +483,43 @@ def infer_component(
 # ----------------------------------------------------------------------
 # Objective constructors
 # ----------------------------------------------------------------------
+def _operand_objective(
+    name: str,
+    width: int,
+    dist: Distribution,
+    metric: object,
+    library: Optional[TechLibrary],
+) -> CircuitObjective:
+    """Shared exhaustive constructor for every registered component.
+
+    Every component follows the same recipe: closed-form reference over
+    the standard ``[x, y, ...]`` layout, signed when ``dist.signed``
+    (unsigned-only components refuse a signed ``dist``), ``dist``
+    weighting the ``x`` operand and every other input uniform,
+    normalizer = max ``|reference|`` (the paper's percent semantics).
+    The width is checked before the ``2**ni`` reference table is built.
+    """
+    comp = COMPONENTS[name]
+    comp.check_width(width)
+    if dist.width != width:
+        raise ValueError("distribution width must match operand width")
+    if dist.signed and not comp.supports_signed:
+        raise ValueError(f"the {name} component is unsigned")
+    num_inputs = comp.num_inputs(width)
+    reference = comp.reference(width, dist.signed)
+    return CircuitObjective(
+        num_inputs=num_inputs,
+        reference=reference,
+        weights=operand_weights(dist, num_inputs),
+        signed=dist.signed,
+        normalizer=float(np.abs(reference).max()),
+        metric=metric,
+        library=library,
+        component=name,
+        num_outputs=comp.num_outputs(width),
+    )
+
+
 def multiplier_objective(
     width: int,
     dist: Distribution,
@@ -493,48 +530,9 @@ def multiplier_objective(
 
     Signedness follows ``dist.signed``; the normalizer is the maximum
     exact product magnitude so thresholds keep the paper's percent
-    semantics.  With ``metric="wmed"`` this is exactly the historical
-    ``MultiplierFitness`` — bit-identical trajectories.
+    semantics.
     """
-    # The legacy class (kept as a deprecated alias) *is* the multiplier
-    # objective; constructing it here keeps one canonical code path.
-    from .fitness import MultiplierFitness
-
-    return MultiplierFitness(width, dist, library=library, metric=metric)
-
-
-def _unsigned_objective(
-    name: str,
-    width: int,
-    dist: Distribution,
-    metric: object,
-    library: Optional[TechLibrary],
-) -> CircuitObjective:
-    """Shared constructor for the unsigned two-operand components.
-
-    Adder, subtractor, divider and barrel shifter all follow the same
-    recipe: closed-form reference over the standard ``[x, y]`` layout,
-    ``dist`` weighting the ``x`` operand, normalizer = max reference
-    value (the paper's percent semantics).
-    """
-    comp = COMPONENTS[name]
-    comp.check_width(width)
-    if dist.width != width:
-        raise ValueError("distribution width must match operand width")
-    if dist.signed:
-        raise ValueError(f"the {name} component is unsigned")
-    reference = comp.reference(width, False)
-    return CircuitObjective(
-        num_inputs=comp.num_inputs(width),
-        reference=reference,
-        weights=operand_weights(dist, comp.num_inputs(width)),
-        signed=False,
-        normalizer=float(reference.max()),
-        metric=metric,
-        library=library,
-        component=name,
-        num_outputs=comp.num_outputs(width),
-    )
+    return _operand_objective("multiplier", width, dist, metric, library)
 
 
 def adder_objective(
@@ -544,7 +542,7 @@ def adder_objective(
     library: Optional[TechLibrary] = None,
 ) -> CircuitObjective:
     """Objective for unsigned ``width``-bit adders (sum with carry-out)."""
-    return _unsigned_objective("adder", width, dist, metric, library)
+    return _operand_objective("adder", width, dist, metric, library)
 
 
 def divider_objective(
@@ -559,7 +557,7 @@ def divider_objective(
     convention, matching the restoring-array seed circuit; ``dist``
     weights the dividend ``x`` (the low input half).
     """
-    return _unsigned_objective("divider", width, dist, metric, library)
+    return _operand_objective("divider", width, dist, metric, library)
 
 
 def subtractor_objective(
@@ -575,7 +573,7 @@ def subtractor_objective(
     sign bit); error distances are therefore taken on the wrapped
     encoding, not on the signed difference.
     """
-    return _unsigned_objective("subtractor", width, dist, metric, library)
+    return _operand_objective("subtractor", width, dist, metric, library)
 
 
 def barrel_shifter_objective(
@@ -591,7 +589,7 @@ def barrel_shifter_objective(
     :func:`~repro.circuits.generators.shift_amount_bits`); ``dist``
     weights the shifted operand ``x``.
     """
-    return _unsigned_objective("barrel-shifter", width, dist, metric, library)
+    return _operand_objective("barrel-shifter", width, dist, metric, library)
 
 
 def mac_objective(
@@ -607,32 +605,7 @@ def mac_objective(
     uniform.  Exhaustive over ``2**(4w+1)`` vectors — practical for
     ``width <= 5``.
     """
-    comp = COMPONENTS["mac"]
-    comp.check_width(width)
-    if dist.width != width:
-        raise ValueError("distribution width must match operand width")
-    reference = comp.reference(width, dist.signed)
-    return CircuitObjective(
-        num_inputs=comp.num_inputs(width),
-        reference=reference,
-        weights=operand_weights(dist, comp.num_inputs(width)),
-        signed=dist.signed,
-        normalizer=float(np.abs(reference).max()),
-        metric=metric,
-        library=library,
-        component="mac",
-        num_outputs=comp.num_outputs(width),
-    )
-
-
-_OBJECTIVE_BUILDERS = {
-    "multiplier": multiplier_objective,
-    "adder": adder_objective,
-    "mac": mac_objective,
-    "divider": divider_objective,
-    "subtractor": subtractor_objective,
-    "barrel-shifter": barrel_shifter_objective,
-}
+    return _operand_objective("mac", width, dist, metric, library)
 
 
 def component_objective(
@@ -642,11 +615,9 @@ def component_objective(
     metric: object = "wmed",
     library: Optional[TechLibrary] = None,
 ) -> CircuitObjective:
-    """Dispatch to the named component's objective constructor."""
+    """The named component's exhaustive objective."""
     comp = get_component(component)
-    return _OBJECTIVE_BUILDERS[comp.name](
-        width, dist, metric=metric, library=library
-    )
+    return _operand_objective(comp.name, width, dist, metric, library)
 
 
 def sampled_component_objective(

@@ -24,9 +24,8 @@ module is the single home of that machinery:
 * :class:`EvalResult` — the outcome record shared by all evaluators.
 
 Component-specific constructors (multiplier, adder, MAC, arbitrary
-netlist) live in :mod:`repro.core.components`; the legacy
-``MultiplierFitness`` / ``CircuitFitness`` classes are thin subclasses
-kept for backward compatibility.
+netlist) live in :mod:`repro.core.components`; every one of them returns
+a plain :class:`CircuitObjective`.
 """
 
 from __future__ import annotations
@@ -245,10 +244,6 @@ class CircuitObjective:
     def error(self, chromosome: Chromosome) -> float:
         """The objective's error-metric value for a candidate."""
         return self.error_from_distances(self.error_distances(chromosome))
-
-    def wmed(self, chromosome: Chromosome) -> float:
-        """Historical alias for :meth:`error` (the paper's metric name)."""
-        return self.error(chromosome)
 
     # ------------------------------------------------------------------
     # Area term

@@ -26,22 +26,17 @@ into a compiled pipeline:
 behind the component-agnostic objective layer: it wraps *any*
 :class:`~repro.core.objective.CircuitObjective` — multiplier, adder,
 MAC, custom netlist, under any error metric — and produces bit-identical
-results, so evolved trajectories do not change.
-:class:`~repro.engine.evaluator.CompiledMultiplierFitness` remains the
-drop-in replacement for the legacy
-:class:`~repro.core.fitness.MultiplierFitness`.  Select the backend with
-the ``REPRO_ENGINE`` environment variable (``numpy`` forces the
+results, so evolved trajectories do not change:
+``CompiledObjective(multiplier_objective(width, dist))`` scores exactly
+what ``multiplier_objective(width, dist)`` does.  Select the backend
+with the ``REPRO_ENGINE`` environment variable (``numpy`` forces the
 fallback).
 """
 
 from .arena import BufferArena
 from .cache import EvalCache
 from .compiler import CompiledPhenotype, compile_netlist, compile_phenotype
-from .evaluator import (
-    CompiledMultiplierFitness,
-    CompiledObjective,
-    CompiledSampledObjective,
-)
+from .evaluator import CompiledObjective, CompiledSampledObjective
 from .native import native_available
 from .opcodes import OP_ARITY, OP_NAMES
 
@@ -51,7 +46,6 @@ __all__ = [
     "CompiledPhenotype",
     "compile_netlist",
     "compile_phenotype",
-    "CompiledMultiplierFitness",
     "CompiledObjective",
     "CompiledSampledObjective",
     "native_available",

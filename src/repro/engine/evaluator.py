@@ -62,9 +62,6 @@ path.  The cache key folds in the objective's identity (reference,
 weights, metric, signedness), so caches never alias across objectives.
 Evaluators are not thread-safe (each owns one arena); use one instance
 per worker.
-
-:class:`CompiledMultiplierFitness` remains the drop-in
-``MultiplierFitness`` subclass from the original engine PR.
 """
 
 from __future__ import annotations
@@ -80,14 +77,12 @@ import numpy as np
 
 from ..core.chromosome import CGPParams, Chromosome
 from ..obs import catalog as _obs
-from ..core.fitness import MultiplierFitness
 from ..core.objective import (
     CircuitObjective,
     EvalResult,
     SampledEvalResult,
     SampledObjective,
 )
-from ..errors.distributions import Distribution
 from ..tech.library import TechLibrary
 from . import kernels
 from .arena import MAX_OUTPUT_BITS, STATS_WIDTH, BufferArena
@@ -99,7 +94,6 @@ from .opcodes import OP_ARITY, OP_NAMES, function_opcode_table
 __all__ = [
     "CompiledObjective",
     "CompiledSampledObjective",
-    "CompiledMultiplierFitness",
 ]
 
 #: The decode's distances are int64: with every value below 2**62 in
@@ -498,7 +492,7 @@ class _EngineEvalMixin:
     """Engine-backed hot path over :class:`CircuitObjective` state.
 
     Mixed into a concrete objective class (``CompiledObjective``,
-    ``CompiledMultiplierFitness``); expects the base objective's
+    ``CompiledSampledObjective``); expects the base objective's
     attributes (``num_inputs``, ``num_vectors``, ``stimulus``,
     ``reference``, ``weights``, ``normalizer``, ``signed``, ``metric``,
     ``library``) to be initialized before :meth:`_init_engine` runs.
@@ -808,9 +802,6 @@ class _EngineEvalMixin:
         self._check_params(chromosome.params)
         return self._measure_one(chromosome)[0]
 
-    def wmed(self, chromosome: Chromosome) -> float:
-        return self.error(chromosome)
-
     def evaluate(self, chromosome: Chromosome, threshold: float) -> EvalResult:
         t0 = perf_counter_ns()
         self._check_params(chromosome.params)
@@ -886,8 +877,9 @@ class CompiledObjective(_EngineEvalMixin, CircuitObjective):
 
     Args:
         objective: The interpreted objective to accelerate — anything
-            built by :mod:`repro.core.components` (or a legacy
-            ``MultiplierFitness`` / ``CircuitFitness``).
+            built by :mod:`repro.core.components`, or a
+            :class:`~repro.core.objective.CircuitObjective` built
+            directly.
         backend: ``"auto"`` (native when buildable, else numpy),
             ``"native"`` (require the C backend) or ``"numpy"``.
         cache_entries: Phenotype-cache capacity; 0 disables caching.
@@ -990,34 +982,3 @@ class CompiledSampledObjective(_EngineEvalMixin, SampledObjective):
             ci_low=ci_low,
             ci_high=ci_high,
         )
-
-
-class CompiledMultiplierFitness(_EngineEvalMixin, MultiplierFitness):
-    """Engine-backed drop-in for the legacy ``MultiplierFitness``.
-
-    Equivalent to ``CompiledObjective(MultiplierFitness(...))`` but keeps
-    the historical class identity and constructor.
-
-    Args:
-        width: Operand bit width.
-        dist: Operand-``x`` distribution defining the WMED weights.
-        library: Technology library for the area term.
-        backend: ``"auto"`` (native when buildable, else numpy),
-            ``"native"`` (require the C backend) or ``"numpy"``.
-        cache_entries: Phenotype-cache capacity; 0 disables caching.
-        metric: Error metric; the paper's ``"wmed"`` by default.
-    """
-
-    def __init__(
-        self,
-        width: int,
-        dist: Distribution,
-        library: Optional[TechLibrary] = None,
-        backend: str = "auto",
-        cache_entries: int = 1 << 16,
-        metric: object = "wmed",
-    ) -> None:
-        MultiplierFitness.__init__(
-            self, width, dist, library=library, metric=metric
-        )
-        self._init_engine(backend, cache_entries)

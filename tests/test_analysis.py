@@ -6,7 +6,7 @@ import pytest
 from repro.analysis import (
     PAPER_WMED_LEVELS,
     banner,
-    characterize_multiplier,
+    characterize_design,
     downsample,
     error_heatmap,
     error_mass_correlation,
@@ -141,7 +141,8 @@ def test_characterize_multiplier_cross_evaluates(bw4):
     pmf = np.zeros(16)
     pmf[1] = 1.0
     point = from_pmf(pmf, width=4, signed=True, name="point")
-    dp = characterize_multiplier(bw4, 4, [du, point], name="exact4")
+    dp = characterize_design(bw4, 4, [du, point], name="exact4")
+    assert dp.component == "multiplier"
     assert dp.wmed_by_dist["Du"] == 0.0
     assert dp.wmed_by_dist["point"] == 0.0
     assert dp.power_mw > 0
@@ -150,9 +151,9 @@ def test_characterize_multiplier_cross_evaluates(bw4):
 
 def test_characterize_multiplier_guards(bw4):
     with pytest.raises(ValueError):
-        characterize_multiplier(bw4, 4, [])
+        characterize_design(bw4, 4, [])
     with pytest.raises(ValueError):
-        characterize_multiplier(
+        characterize_design(
             bw4, 4, [uniform(4, signed=True), uniform(4, signed=False)]
         )
 

@@ -77,6 +77,28 @@ def test_cli_export_verilog(tmp_path, capsys):
     assert text.rstrip().endswith("endmodule")
 
 
+def test_cli_evolve_output_identical_with_engine_off_and_auto(tmp_path):
+    outputs = {}
+    for engine in ("off", "auto"):
+        out = tmp_path / f"{engine}.cgp"
+        code = main(
+            [
+                "evolve",
+                "--width", "4",
+                "--unsigned",
+                "--dist", "d2",
+                "--wmed-percent", "1",
+                "--generations", "300",
+                "--seed", "5",
+                "--engine", engine,
+                "--output", str(out),
+            ]
+        )
+        assert code == 0
+        outputs[engine] = out.read_bytes()
+    assert outputs["off"] == outputs["auto"]
+
+
 def test_cli_evolve_stdout(capsys):
     code = main(
         ["evolve", "--width", "2", "--dist", "d2",

@@ -37,6 +37,23 @@ def test_all_fences_match_implementation(checker, capsys):
     assert "fences match" in capsys.readouterr().out
 
 
+def test_checker_flags_scripts_importing_missing_names(
+    checker, tmp_path, monkeypatch, capsys
+):
+    """Example and benchmark scripts are gated like python fences."""
+    script = tmp_path / "stale_example.py"
+    script.write_text(
+        "import numpy as np\n"
+        "from repro.core import CircuitObjective, no_such_objective\n"
+    )
+    monkeypatch.setattr(checker, "script_files", lambda: [str(script)])
+    assert checker.main([]) == 1
+    err = capsys.readouterr().err
+    assert "stale_example.py" in err
+    assert "no attribute 'no_such_objective'" in err
+    assert "CircuitObjective" not in err
+
+
 def test_api_reference_matches_route_table():
     """docs/api.md == the Markdown rendered from the live route table."""
     from repro.serve.openapi import generate_markdown

@@ -17,8 +17,8 @@ from repro.circuits.simulator import (
 from repro.core import (
     CGPParams,
     EvolutionConfig,
-    MultiplierFitness,
     evolve,
+    multiplier_objective,
     netlist_to_chromosome,
 )
 from repro.errors import uniform
@@ -89,7 +89,7 @@ def test_single_column_params():
 def test_evolution_zero_threshold_keeps_exact(bw4):
     """At threshold 0, every surviving parent computes exact products."""
     ch = netlist_to_chromosome(bw4)
-    fit = MultiplierFitness(4, uniform(4, signed=True))
+    fit = multiplier_objective(4, uniform(4, signed=True))
     res = evolve(
         ch, fit, threshold=0.0,
         config=EvolutionConfig(generations=200),
@@ -116,7 +116,7 @@ def test_multi_row_cgp_decode(rng):
 
 def test_evolution_single_generation(bw4, rng):
     ch = netlist_to_chromosome(bw4)
-    fit = MultiplierFitness(4, uniform(4, signed=True))
+    fit = multiplier_objective(4, uniform(4, signed=True))
     res = evolve(
         ch, fit, threshold=0.01,
         config=EvolutionConfig(generations=1), rng=rng,

@@ -3,7 +3,7 @@
 The engine's contract is *bit-identical semantics* to the interpreted
 path at much higher throughput, so almost everything here is an
 equivalence property: compiled kernels vs. the scalar reference
-simulator, engine evaluators vs. ``MultiplierFitness``, cached vs.
+simulator, engine evaluators vs. the interpreted objective, cached vs.
 fresh results, parallel vs. serial sweeps.
 """
 
@@ -25,8 +25,8 @@ from repro.circuits.simulator import (
     truth_table,
 )
 from repro.core.chromosome import CGPParams
+from repro.core.components import multiplier_objective
 from repro.core.evolution import EvolutionConfig, evolve
-from repro.core.fitness import MultiplierFitness
 from repro.core.mutation import mutate
 from repro.core.seeding import (
     netlist_to_chromosome,
@@ -35,7 +35,7 @@ from repro.core.seeding import (
 )
 from repro.engine import (
     BufferArena,
-    CompiledMultiplierFitness,
+    CompiledObjective,
     EvalCache,
     compile_netlist,
     compile_phenotype,
@@ -132,7 +132,7 @@ def test_liveness_allocation_reuses_slots():
 
 
 # ----------------------------------------------------------------------
-# Evaluator vs. MultiplierFitness (bit-exact)
+# Evaluator vs. the interpreted multiplier objective (bit-exact)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
@@ -148,8 +148,8 @@ def test_engine_evaluator_bit_identical(rng, backend, signed, width, builder):
     params = params_for_netlist(net, extra_columns=8)
     chrom = netlist_to_chromosome(net, params)
     dist = uniform(width, signed=signed)
-    base = MultiplierFitness(width, dist)
-    eng = CompiledMultiplierFitness(width, dist, backend=backend)
+    base = multiplier_objective(width, dist)
+    eng = CompiledObjective(multiplier_objective(width, dist), backend=backend)
     assert eng.backend == backend
     c = chrom
     for _ in range(30):
@@ -166,18 +166,18 @@ def test_engine_evaluator_bit_identical(rng, backend, signed, width, builder):
 def test_engine_on_random_chromosomes(rng, backend):
     params = CGPParams(num_inputs=8, num_outputs=8, columns=30)
     dist = uniform(4, signed=False)
-    base = MultiplierFitness(4, dist)
-    eng = CompiledMultiplierFitness(4, dist, backend=backend)
+    base = multiplier_objective(4, dist)
+    eng = CompiledObjective(multiplier_objective(4, dist), backend=backend)
     for _ in range(20):
         c = random_chromosome(params, rng)
         assert np.array_equal(eng.truth_table(c), base.truth_table(c))
-        assert eng.wmed(c) == base.wmed(c)
+        assert eng.error(c) == base.error(c)
 
 
 def test_engine_rejects_mismatched_width():
     net = build_array_multiplier(4)
     chrom = netlist_to_chromosome(net, params_for_netlist(net))
-    eng = CompiledMultiplierFitness(6, uniform(6, signed=False))
+    eng = CompiledObjective(multiplier_objective(6, uniform(6, signed=False)))
     with pytest.raises(ValueError):
         eng.evaluate(chrom, 0.1)
 
@@ -186,12 +186,12 @@ def test_engine_rejects_mismatched_width():
 # Phenotype cache
 # ----------------------------------------------------------------------
 def test_cache_hits_return_fresh_equal_results(rng):
-    """Cache-hit results equal a fresh MultiplierFitness evaluation."""
+    """Cache-hit results equal a fresh interpreted evaluation."""
     net = build_baugh_wooley_multiplier(4)  # signed path
     params = params_for_netlist(net, extra_columns=10)
     chrom = netlist_to_chromosome(net, params)
     dist = uniform(4, signed=True)
-    eng = CompiledMultiplierFitness(4, dist)
+    eng = CompiledObjective(multiplier_objective(4, dist))
     c = chrom
     candidates = []
     for _ in range(15):
@@ -199,7 +199,7 @@ def test_cache_hits_return_fresh_equal_results(rng):
         candidates.append(c)
         eng.evaluate(c, 0.02)
     assert eng.cache.stats()["entries"] > 0
-    fresh = MultiplierFitness(4, dist)
+    fresh = multiplier_objective(4, dist)
     before = eng.cache.hits
     for c in candidates:
         re = eng.evaluate(c, 0.02)  # all should hit now
@@ -212,7 +212,7 @@ def test_cache_hit_on_neutral_genotype_change(rng):
     net = build_array_multiplier(4)
     params = params_for_netlist(net, extra_columns=12)
     chrom = netlist_to_chromosome(net, params)
-    eng = CompiledMultiplierFitness(4, uniform(4, signed=False))
+    eng = CompiledObjective(multiplier_objective(4, uniform(4, signed=False)))
     eng.evaluate(chrom, 0.1)
     active = set(int(x) for x in chrom.active_gene_positions())
     neutral = None
@@ -253,8 +253,10 @@ def test_evolve_trajectory_identical_with_engine(backend):
     cfg = EvolutionConfig(generations=120, history_every=1)
     runs = {}
     for name, ev in (
-        ("base", MultiplierFitness(4, dist)),
-        ("engine", CompiledMultiplierFitness(4, dist, backend=backend)),
+        ("base", multiplier_objective(4, dist)),
+        ("engine", CompiledObjective(
+            multiplier_objective(4, dist), backend=backend
+        )),
     ):
         runs[name] = evolve(
             seed, ev, threshold=0.02, config=cfg,

@@ -11,14 +11,14 @@ from repro.circuits.generators import build_baugh_wooley_multiplier
 from repro.circuits.simulator import truth_table
 from repro.circuits.verify import reference_sums, verify_adder
 from repro.core import (
+    CircuitObjective,
     EvolutionConfig,
-    MultiplierFitness,
     evolve,
+    multiplier_objective,
     netlist_to_chromosome,
     params_for_netlist,
 )
 from repro.core.annealing import AnnealingConfig, anneal
-from repro.core.generic_fitness import CircuitFitness
 from repro.errors import from_pmf, uniform, wmed
 from repro.errors.truth_tables import vector_weights_joint
 
@@ -76,10 +76,10 @@ def test_full_width_approximations():
 def test_circuit_fitness_matches_multiplier_fitness(bw4):
     ch = netlist_to_chromosome(bw4)
     d = uniform(4, signed=True)
-    mult_fit = MultiplierFitness(4, d)
-    generic = CircuitFitness(
+    mult_fit = multiplier_objective(4, d)
+    generic = CircuitObjective(
         num_inputs=8,
-        reference=mult_fit.exact,
+        reference=mult_fit.reference,
         weights=mult_fit.weights,
         signed=True,
         normalizer=mult_fit.normalizer,
@@ -93,11 +93,11 @@ def test_circuit_fitness_matches_multiplier_fitness(bw4):
 
 def test_circuit_fitness_validates_reference():
     with pytest.raises(ValueError):
-        CircuitFitness(4, np.zeros(10))
+        CircuitObjective(4, np.zeros(10))
     with pytest.raises(ValueError):
-        CircuitFitness(3, np.zeros(8), weights=np.ones(4))
+        CircuitObjective(3, np.zeros(8), weights=np.ones(4))
     with pytest.raises(ValueError):
-        CircuitFitness(3, np.zeros(8), normalizer=-1.0)
+        CircuitObjective(3, np.zeros(8), normalizer=-1.0)
 
 
 def test_evolve_approximate_adder_with_generic_fitness(rng):
@@ -107,7 +107,7 @@ def test_evolve_approximate_adder_with_generic_fitness(rng):
     width = 4
     net = build_ripple_carry_adder(width)
     seed = netlist_to_chromosome(net, params_for_netlist(net, extra_columns=10))
-    evaluator = CircuitFitness(
+    evaluator = CircuitObjective(
         num_inputs=2 * width,
         reference=reference_sums(width, signed=False),
         signed=False,
@@ -157,7 +157,7 @@ def test_anneal_finds_feasible_solution(bw4, rng):
     ch = netlist_to_chromosome(
         bw4, params_for_netlist(bw4, extra_columns=10)
     )
-    fit = MultiplierFitness(4, uniform(4, signed=True))
+    fit = multiplier_objective(4, uniform(4, signed=True))
     res = anneal(
         ch, fit, threshold=0.05,
         config=AnnealingConfig(steps=1500), rng=rng,
@@ -176,7 +176,7 @@ def test_anneal_temperature_schedule():
 
 def test_anneal_threshold_guard(bw4, rng):
     ch = netlist_to_chromosome(bw4)
-    fit = MultiplierFitness(4, uniform(4, signed=True))
+    fit = multiplier_objective(4, uniform(4, signed=True))
     with pytest.raises(ValueError):
         anneal(ch, fit, threshold=-1.0, rng=rng)
 
@@ -187,7 +187,7 @@ def test_cgp_competitive_with_annealing(bw4):
     ch = netlist_to_chromosome(
         bw4, params_for_netlist(bw4, extra_columns=10)
     )
-    fit = MultiplierFitness(4, uniform(4, signed=True))
+    fit = multiplier_objective(4, uniform(4, signed=True))
     cgp = evolve(
         ch, fit, threshold=0.05,
         config=EvolutionConfig(generations=500),

@@ -7,8 +7,8 @@ from repro.circuits.generators import build_baugh_wooley_multiplier
 from repro.circuits.simulator import truth_table
 from repro.core import (
     EvolutionConfig,
-    MultiplierFitness,
     evolve,
+    multiplier_objective,
     netlist_to_chromosome,
     params_for_netlist,
 )
@@ -29,17 +29,17 @@ def seed3():
 
 @pytest.fixture(scope="module")
 def fit3():
-    return MultiplierFitness(3, uniform(3, signed=True))
+    return multiplier_objective(3, uniform(3, signed=True))
 
 
 def test_fitness_width_guard():
     with pytest.raises(ValueError):
-        MultiplierFitness(4, uniform(3, signed=True))
+        multiplier_objective(4, uniform(3, signed=True))
 
 
 def test_exact_seed_has_zero_wmed(seed3, fit3):
     _, ch = seed3
-    assert fit3.wmed(ch) == 0.0
+    assert fit3.error(ch) == 0.0
 
 
 def test_fitness_area_matches_netlist_area(seed3, fit3):
@@ -57,7 +57,7 @@ def test_fitness_matches_metrics_wmed(seed3, fit3):
     expected = wmed(
         exact_product_table(3, True), table, uniform(3, signed=True)
     )
-    assert fit3.wmed(mutated) == pytest.approx(expected)
+    assert fit3.error(mutated) == pytest.approx(expected)
 
 
 def test_fitness_threshold_gate(seed3, fit3):
@@ -191,7 +191,7 @@ def test_distribution_weighted_fitness_prefers_weighted_inputs(rng):
     net = build_baugh_wooley_multiplier(4)
     ch = netlist_to_chromosome(net, params_for_netlist(net, extra_columns=10))
     d = discretized_half_normal(4, sigma=2.0, signed=True, name="half")
-    fit = MultiplierFitness(4, d)
+    fit = multiplier_objective(4, d)
     res = evolve(
         ch, fit, threshold=0.02,
         config=EvolutionConfig(generations=600), rng=rng,

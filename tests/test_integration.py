@@ -7,7 +7,7 @@ fast, but they exercise the exact pipelines behind Fig. 3-7 and Table I.
 import numpy as np
 import pytest
 
-from repro.analysis import characterize_multiplier, error_mass_correlation, evolve_front
+from repro.analysis import characterize_design, error_mass_correlation, evolve_front
 from repro.baselines import build_truncated_multiplier
 from repro.circuits.generators import build_baugh_wooley_multiplier, build_multiplier
 from repro.circuits.simulator import truth_table
@@ -65,7 +65,7 @@ def test_distribution_driven_wins_under_its_own_metric(evolved_4bit):
 
 def test_evolved_area_not_worse_than_seed(evolved_4bit):
     _, _, front_h, _ = evolved_4bit
-    seed_area = characterize_multiplier(
+    seed_area = characterize_design(
         build_baugh_wooley_multiplier(4), 4,
         [uniform(4, signed=True)],
     ).area

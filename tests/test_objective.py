@@ -15,10 +15,8 @@ import pytest
 
 from repro.circuits.simulator import truth_table
 from repro.core import (
-    CircuitFitness,
     CircuitObjective,
     EvolutionConfig,
-    MultiplierFitness,
     adder_objective,
     component_objective,
     evolve,
@@ -40,7 +38,9 @@ from repro.engine import (
     native_available,
 )
 from repro.errors import (
+    exact_product_table,
     get_metric,
+    max_product_magnitude,
     mean_error_distance,
     metric_names,
     operand_weights,
@@ -466,38 +466,46 @@ def test_gate_without_opcode_stays_interpreted_and_is_counted(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Objective construction and compatibility aliases
+# Objective construction
 # ----------------------------------------------------------------------
 def test_multiplier_objective_is_legacy_fitness():
-    obj = multiplier_objective(4, uniform(4, signed=True))
-    assert isinstance(obj, MultiplierFitness)
-    assert isinstance(obj, CircuitObjective)
-    assert obj.component == "multiplier"
-    assert np.array_equal(obj.exact, obj.reference)
+    """A plain CircuitObjective over the exact product table, the
+    x-operand weights of ``dist`` and the maximum product magnitude: the
+    construction stored multiplier errors and trajectories rest on."""
+    for signed in (True, False):
+        dist = _dist(4, signed)
+        obj = multiplier_objective(4, dist)
+        assert type(obj) is CircuitObjective
+        assert obj.component == "multiplier"
+        legacy = CircuitObjective(
+            num_inputs=8,
+            reference=exact_product_table(4, signed),
+            weights=vector_weights(dist, 4),
+            signed=signed,
+            normalizer=float(max_product_magnitude(4, signed)),
+            num_outputs=8,
+        )
+        assert np.array_equal(obj.reference, legacy.reference)
+        assert obj.normalizer == legacy.normalizer
+        assert np.array_equal(obj.weights, legacy.weights)
+        assert np.array_equal(
+            obj.integer_weights.row, legacy.integer_weights.row
+        )
+        assert obj.integer_weights.total == legacy.integer_weights.total
 
 
-def test_make_evaluator_engine_path_keeps_legacy_identity():
-    """make_evaluator's engine path still returns a MultiplierFitness."""
-    from repro.analysis import make_evaluator
-
-    ev = make_evaluator(4, uniform(4, signed=True))
-    assert isinstance(ev, MultiplierFitness)
-    assert np.array_equal(ev.exact, ev.reference)  # legacy accessor
-    assert hasattr(ev, "evaluate_batch")
+def test_multiplier_objective_checks_width_before_building():
+    """Width 11 is past the exhaustive bound: refused, not a 2**22 table."""
+    with pytest.raises(ValueError, match="sampled path"):
+        multiplier_objective(11, uniform(11))
+    with pytest.raises(ValueError, match="sampled path"):
+        component_objective("multiplier", 11, uniform(11, signed=True))
 
 
 def test_netlist_objective_rejects_signedness_mismatch():
     net = get_component("adder").build_seed(4, False)
     with pytest.raises(ValueError, match="signedness"):
         netlist_objective(net, dist=uniform(4, signed=True), signed=False)
-
-
-def test_circuit_fitness_is_objective_without_type_ignore():
-    fit = CircuitFitness(8, np.zeros(256))
-    assert isinstance(fit, CircuitObjective)
-    # The shared hot path is inherited, not delegated via casts.
-    assert CircuitFitness.truth_table is CircuitObjective.truth_table
-    assert CircuitFitness.area is CircuitObjective.area
 
 
 def test_netlist_objective_matches_component_objective(rng):
@@ -528,6 +536,66 @@ def test_mac_objective_weights_follow_x_operand():
     assert obj.num_inputs == ni
     w = obj.weights * (1 << (ni - 2))  # undo tiling normalization
     assert w[:4] == pytest.approx(dist.pmf)
+
+
+# ----------------------------------------------------------------------
+# make_objective's engine modes
+# ----------------------------------------------------------------------
+ENGINE_MODES = ["auto", "numpy"] + (["native"] if native_available() else [])
+
+#: (component, width, signed, sample spec or None for exhaustive)
+MAKE_OBJECTIVE_CASES = [
+    ("multiplier", 4, True, None),
+    ("multiplier", 4, False, None),
+    ("adder", 4, False, None),
+    ("multiplier", 6, False, SampleSpec(samples=256, replicates=4, seed=3)),
+]
+
+
+@pytest.mark.parametrize("component,width,signed,sample", MAKE_OBJECTIVE_CASES)
+def test_make_objective_engine_modes_agree_bitwise(
+    rng, component, width, signed, sample
+):
+    from repro.analysis import make_objective
+
+    dist = _dist(width, signed)
+    interpreted, compiled = (
+        (SampledObjective, CompiledSampledObjective) if sample
+        else (CircuitObjective, CompiledObjective)
+    )
+    objectives = {
+        mode: make_objective(
+            width, dist, engine=mode, component=component, sample=sample
+        )
+        for mode in ["off"] + ENGINE_MODES
+    }
+    assert type(objectives["off"]) is interpreted
+    for mode in ENGINE_MODES:
+        assert isinstance(objectives[mode], compiled)
+        if mode != "auto":
+            assert objectives[mode].backend == mode
+    c = _seed_chromosome(component, width, signed)
+    for _ in range(12):
+        c, _ = mutate(c, 4, rng)
+        expected = objectives["off"].evaluate(c, 0.02)
+        for mode in ENGINE_MODES:
+            got = objectives[mode].evaluate(c, 0.02)
+            assert got.fitness == expected.fitness
+            assert got.error == expected.error
+            assert got.area == expected.area
+            if sample:
+                assert got.ci_low == expected.ci_low
+                assert got.ci_high == expected.ci_high
+
+
+def test_make_objective_rejects_unknown_engine_mode():
+    from repro.analysis import make_objective
+
+    dist = uniform(4)
+    with pytest.raises(ValueError, match="unknown engine mode"):
+        make_objective(4, dist, engine="gpu")
+    with pytest.raises(ValueError, match="unknown engine mode"):
+        make_objective(4, dist, engine="gpu", sample=SampleSpec(samples=64))
 
 
 # ----------------------------------------------------------------------

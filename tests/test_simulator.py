@@ -150,11 +150,3 @@ def test_simulate_signals_skips_dead_gates():
     net.set_outputs([live])
     values = simulate_signals(net, exhaustive_inputs(2))
     assert values[dead] is None
-
-
-def test_active_only_flag_still_computes_outputs():
-    net = _mux_netlist()
-    full = simulate(net, exhaustive_inputs(3), active_only=False)
-    lazy = simulate(net, exhaustive_inputs(3), active_only=True)
-    for a, b in zip(full, lazy):
-        assert np.array_equal(a, b)
