@@ -34,7 +34,6 @@ __all__ = [
     "words_to_values",
     "output_values",
     "truth_table",
-    "popcount",
 ]
 
 
@@ -63,44 +62,6 @@ def unpack_bits(words: np.ndarray, num_vectors: int) -> np.ndarray:
     as_bytes = np.ascontiguousarray(words).view(np.uint8)
     bits = np.unpackbits(as_bytes, bitorder="little")
     return bits[:num_vectors]
-
-
-def _use_bitwise_count() -> bool:
-    """Whether to popcount via ``np.bitwise_count`` (NumPy >= 2).
-
-    Older NumPy falls back to unpacking bits; ``REPRO_POPCOUNT=portable``
-    forces that fallback so CI can exercise the pre-NumPy-2 path on any
-    NumPy version (both paths are bit-identical).  The knob is read once
-    at import time (``popcount`` sits on hot loops): set it before the
-    process starts, or monkeypatch ``_HAS_BITWISE_COUNT`` in tests.
-    """
-    import os
-
-    if os.environ.get("REPRO_POPCOUNT", "").lower() in ("portable", "unpack"):
-        return False
-    return hasattr(np, "bitwise_count")
-
-
-_HAS_BITWISE_COUNT = _use_bitwise_count()
-
-
-def popcount(words: np.ndarray, num_vectors: int) -> int:
-    """Number of 1-bits among the first ``num_vectors`` positions.
-
-    Pad bits beyond ``num_vectors`` are ignored (gates like NOT can set
-    them), so the result only depends on the valid positions.
-    """
-    if num_vectors == 0:
-        return 0
-    n_words = words_for(num_vectors)
-    w = np.ascontiguousarray(words).ravel()[:n_words]
-    if not _HAS_BITWISE_COUNT:
-        return int(unpack_bits(w, num_vectors).sum())
-    rem = num_vectors % 64
-    if rem:
-        w = w.copy()
-        w[-1] &= np.uint64((1 << rem) - 1)
-    return int(np.bitwise_count(w).sum())
 
 
 #: Packed value of exhaustive-input row ``k`` for ``k < 6``: within one
@@ -236,17 +197,19 @@ def words_to_values(
 
     ``output_words[j]`` is bit ``j`` (LSB first) of the output bus.  With
     ``signed=True`` the bus is interpreted as two's complement of width
-    ``len(output_words)``.
+    ``len(output_words)``.  The bits collect in the narrowest unsigned
+    type that holds the bus (uint16 up to 16 bits, else uint64), which
+    widens to int64 once at the end.
     """
     n_bits = len(output_words)
-    vals = np.zeros(num_vectors, dtype=np.int64)
+    dtype = np.uint16 if n_bits <= 16 else np.uint64
+    acc = np.zeros(num_vectors, dtype=dtype)
     for j, words in enumerate(output_words):
-        bits = unpack_bits(words, num_vectors).astype(np.int64)
-        vals += bits << j
+        acc |= unpack_bits(words, num_vectors).astype(dtype) << dtype(j)
+    values = acc.astype(np.int64)
     if signed and n_bits > 0:
-        sign = np.int64(1) << (n_bits - 1)
-        vals = np.where(vals >= sign, vals - (sign << 1), vals)
-    return vals
+        values[values >= 1 << (n_bits - 1)] -= 1 << n_bits
+    return values
 
 
 def output_values(

@@ -67,16 +67,14 @@ from .core import (
     netlist_to_chromosome,
     params_for_netlist,
 )
-from .core.components import COMPONENTS, ComponentSpec, component_objective
+from .core.components import COMPONENTS, ComponentSpec
 from .core.serialization import chromosome_from_string, chromosome_to_string
 from .errors import (
     Distribution,
+    ErrorReport,
     distribution_from_spec,
-    evaluate_errors_against,
     metric_names,
-    operand_weights,
 )
-from .tech import characterize
 
 __all__ = ["main", "parse_distribution"]
 
@@ -281,22 +279,25 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
             raise _contradiction(path, "--dist", args.dist, "dist", recorded)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    summary = characterize(net)
-    objective = component_objective(comp.name, width, dist)
-    table = objective.truth_table(chromosome)
-    report = evaluate_errors_against(
-        objective.reference,
-        table,
-        weights=operand_weights(dist, objective.num_inputs),
-        normalizer=objective.normalizer,
+    from .library import characterize_record
+
+    # The library's characterization, so the figures printed here are
+    # the ones a store row holds for the same design.
+    row = characterize_record(
+        chromosome, comp.name, width, dist, record.get("metric", "wmed")
+    )
+    report = ErrorReport(
+        med=row.med, wmed=row.wmed, wmed_percent=100.0 * row.wmed,
+        mre=row.mred, error_rate=row.error_rate,
+        worst_case=row.worst_case, bias=row.bias,
     )
     print(f"component: {comp.name} (width {width}, "
           f"{'signed' if signed else 'unsigned'})")
-    print(f"gates:  {len(net.active_gate_indices())}")
-    print(f"area:   {summary.area:.1f} um2")
-    print(f"power:  {summary.power.total / 1000:.4f} mW")
-    print(f"delay:  {summary.delay:.0f} ps")
-    print(f"pdp:    {summary.pdp:.1f} fJ")
+    print(f"gates:  {row.gates}")
+    print(f"area:   {row.area:.1f} um2")
+    print(f"power:  {row.power_uw / 1000:.4f} mW")
+    print(f"delay:  {row.delay_ps:.0f} ps")
+    print(f"pdp:    {row.pdp:.1f} fJ")
     print(f"errors: {report}")
     return 0
 

@@ -54,7 +54,6 @@ class EvolutionConfig:
     generations: int = 10_000
     lam: int = 4
     h: int = 5
-    neutral_drift: bool = True
     skip_neutral_evaluations: bool = True
     tie_break_error: bool = True
     time_limit_s: Optional[float] = None
@@ -186,12 +185,9 @@ def _evolve_loop(
                 best_child, best_eval = child, child_eval
         assert best_child is not None and best_eval is not None
 
-        accept = (
-            sort_key(best_eval) <= sort_key(parent_eval)
-            if cfg.neutral_drift
-            else sort_key(best_eval) < sort_key(parent_eval)
-        )
-        if accept:
+        # The paper's <=: a child as good as its parent replaces it,
+        # which is CGP's neutral drift.
+        if sort_key(best_eval) <= sort_key(parent_eval):
             parent, parent_eval = best_child, best_eval
 
         if cfg.history_every and generation % cfg.history_every == 0:

@@ -36,7 +36,11 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.simulator import exhaustive_inputs, pack_input_vectors
+from ..circuits.simulator import (
+    exhaustive_inputs,
+    pack_input_vectors,
+    words_to_values,
+)
 from ..errors.metrics import (
     ErrorMetric,
     MetricEstimate,
@@ -197,26 +201,12 @@ class CircuitObjective:
     # Decode hot path
     # ------------------------------------------------------------------
     def truth_table(self, chromosome: Chromosome) -> np.ndarray:
-        """Decoded integer outputs of the candidate over all vectors.
-
-        Equivalent to :func:`repro.circuits.simulator.words_to_values`
-        but decodes all output bits in one vectorized bit-transpose (this
-        sits on the search's hot path): unpack each output plane, stack
-        them as the bit columns of one integer per vector, and repack.
-        """
-        words = chromosome.simulate(self.stimulus)
-        n_bits = len(words)
-        dtype = np.uint16 if n_bits <= 16 else np.uint64
-        acc = np.zeros(self.num_vectors, dtype=dtype)
-        for j, plane in enumerate(words):
-            bits = np.unpackbits(plane.view(np.uint8), bitorder="little")[
-                : self.num_vectors
-            ].astype(dtype)
-            acc |= bits << dtype(j)
-        values = acc.astype(np.int64)
-        if self.signed:
-            values[values >= 1 << (n_bits - 1)] -= 1 << n_bits
-        return values
+        """Decoded integer outputs of the candidate over all vectors
+        (:func:`~repro.circuits.simulator.words_to_values` over its
+        simulated output planes)."""
+        return words_to_values(
+            chromosome.simulate(self.stimulus), self.num_vectors, self.signed
+        )
 
     def error_distances(self, chromosome: Chromosome) -> np.ndarray:
         """Per-vector ``|reference - candidate|`` as ``int64``."""

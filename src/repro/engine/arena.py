@@ -14,12 +14,13 @@ Layout of the signal matrix ``buf`` (``slots x words`` of ``uint64``):
   liveness allocator (so the hot region is the circuit's live width,
   typically far smaller than its gate count, and stays cache-resident).
 
-Batched evaluation adds *per-candidate* buffers on demand, all
-contiguous 2-D arrays so one native call (``cgp_eval_batch``) can walk
-them by stride: every candidate of a brood gets a program-slab row and
-a statistics row (:meth:`BufferArena.ensure_batch`).  A brood whose
-candidates run concurrently (the threaded schedule) also gets a private
-scratch lane, transpose-scratch row and distance row per candidate
+Every compiled program lives in a row of the program slabs, contiguous
+2-D arrays sized on demand (:meth:`BufferArena.ensure_batch`) so one
+native call (``cgp_eval_batch``) can walk them by stride: each candidate
+of a brood gets a slab row and a statistics row, and a lone evaluation
+or truth table uses row 0.  A brood whose candidates run concurrently
+(the threaded schedule) also gets a private scratch lane,
+transpose-scratch row and distance row per candidate
 (:meth:`BufferArena.ensure_lanes`); the serial schedule, on either
 backend, runs each candidate in turn in ``buf``'s non-input rows,
 ``decode_scratch`` and ``err`` instead.  The packed stimulus stays
@@ -99,13 +100,6 @@ class BufferArena:
         self.buf[:num_inputs] = stimulus
         self._rows: Optional[List[np.ndarray]] = None
 
-        # Compiled-program slabs (the in-place compile target).
-        self.ops = np.empty(num_nodes, dtype=np.int32)
-        self.src_a = np.empty(num_nodes, dtype=np.int32)
-        self.src_b = np.empty(num_nodes, dtype=np.int32)
-        self.dst = np.empty(num_nodes, dtype=np.int32)
-        self.out_slots = np.empty(num_outputs, dtype=np.int32)
-
         # Decode / reduction scratch: the bit transpose writes one row of
         # ceil(num_vectors / 8) words per byte group of the output bus.
         self.scratch_words = (
@@ -119,7 +113,7 @@ class BufferArena:
         #: form and sampled estimates read it; the rest never write it).
         self.err = np.empty(self.num_vectors, dtype=np.int64)
 
-        # Batch slabs and lanes, allocated lazily by ensure_batch() and
+        # Program slabs and lanes, allocated lazily by ensure_batch() and
         # ensure_lanes().
         self.batch_capacity = 0
         self.lane_capacity = 0

@@ -88,7 +88,7 @@ from . import kernels
 from .arena import MAX_OUTPUT_BITS, STATS_WIDTH, BufferArena
 from .cache import EvalCache
 from .compiler import compile_genes_into, phenotype_signature
-from .native import NativeLib, native_lib, omp_threads
+from .native import NativeLib, _mark_omp_team_used, native_lib, omp_threads
 from .opcodes import OP_ARITY, OP_NAMES, function_opcode_table
 
 __all__ = [
@@ -135,7 +135,14 @@ def _brood_team(native: Optional[NativeLib], words: int) -> int:
 
 
 class _Runtime:
-    """Per-:class:`CGPParams` compiled state: arena, tables, backend."""
+    """Per-:class:`CGPParams` compiled state: arena, tables, backend.
+
+    Every compiled program lives in a row of the arena's program slabs:
+    a brood candidate's in its own row, a lone evaluation's and a truth
+    table's in row 0.  Natively, the runtime is the one caller of the
+    library's ``cgp_*`` functions, and it calls them with raw buffer
+    addresses and argument tuples computed ahead of time.
+    """
 
     def __init__(
         self,
@@ -163,7 +170,8 @@ class _Runtime:
             num_vectors,
             blocks=blocks,
         )
-        self.native = native
+        #: The loaded C library, or None on the numpy backend.
+        self._lib = native._lib if native is not None else None
         #: The active-node mask of the latest compile (either backend).
         self.needed = np.zeros(params.num_nodes, dtype=np.uint8)
         self.scratch_i32 = np.empty(
@@ -198,12 +206,11 @@ class _Runtime:
         # Raw buffer addresses, computed once: every arena/table array
         # is allocated for the runtime's lifetime, and the ndarray
         # ``.ctypes`` accessor costs ~µs — comparable to a small kernel
-        # call — so the hot path must not pay it per evaluation.  Batch
+        # call — so the hot path must not pay it per evaluation.  Slab
         # arrays are (re)captured in _refresh_batch() on epoch change.
         self._batch_epoch_seen = -1
         self._lane_compile_args: List[tuple] = []
-        self._lane_eval_args: List[tuple] = []
-        self._lane_stats_args: List[tuple] = []
+        self._lane_args: List[tuple] = []
         #: The OpenMP team this runtime's broods dispatch to, decided
         #: once (see _brood_team); 1 selects the serial chunked loop.
         self.threads = _brood_team(native, self.arena.words)
@@ -217,11 +224,6 @@ class _Runtime:
             self.p_buf = a.buf.ctypes.data
             #: The serial schedule's lane: buf's rows past the stimulus.
             self.p_serial_lane = self.p_buf + a.num_inputs * a.words * 8
-            self.p_ops = a.ops.ctypes.data
-            self.p_src_a = a.src_a.ctypes.data
-            self.p_src_b = a.src_b.ctypes.data
-            self.p_dst = a.dst.ctypes.data
-            self.p_out_slots = a.out_slots.ctypes.data
             self.p_decode_scratch = a.decode_scratch.ctypes.data
             self.p_values = a.values.ctypes.data
             self.p_err = a.err.ctypes.data
@@ -235,21 +237,10 @@ class _Runtime:
             )
 
     def compile(self, genes: np.ndarray) -> int:
-        """Lower ``genes`` into the arena slabs; return ``n_ops``."""
-        genes = np.ascontiguousarray(genes, dtype=np.int64)
-        a = self.arena
-        p = self.params
-        if self.native is not None:
-            return self.native.compile(
-                genes, p.num_nodes, p.num_inputs, p.num_outputs,
-                self.p_fn2op, self.p_arity, self.p_ops, self.p_src_a,
-                self.p_src_b, self.p_dst, self.p_out_slots, self.p_needed,
-                self.p_scratch_i32,
-            )
-        return compile_genes_into(
-            genes, p, self.fn2op_list,
-            a.ops, a.src_a, a.src_b, a.dst, a.out_slots, self.needed,
-        )
+        """Lower ``genes`` into slab row 0 (a truth table's); return
+        ``n_ops``."""
+        self.ensure_batch(1)
+        return self.compile_into_lane(genes, 0)
 
     def active_nodes(self) -> np.ndarray:
         """The latest compile's active nodes, ascending — what
@@ -257,24 +248,28 @@ class _Runtime:
         return np.flatnonzero(self.needed)
 
     def execute(self, n_ops: int) -> None:
+        """Run slab row 0's program over ``buf``."""
         a = self.arena
-        if self.native is not None:
-            self.native.kernel(
-                self.p_buf, a.num_inputs, a.words, n_ops,
-                self.p_ops, self.p_src_a, self.p_src_b, self.p_dst,
+        if self._lib is not None:
+            self._lib.cgp_kernel(
+                self.p_buf, a.num_inputs, a.words, n_ops, self.p_b_ops,
+                self.p_b_src_a, self.p_b_src_b, self.p_b_dst,
             )
         else:
-            kernels.run_program(a, n_ops)
+            kernels.run_program(a, n_ops, 0)
 
     def values(self, signed: bool) -> np.ndarray:
+        """Decode the outputs of slab row 0's program into
+        ``arena.values``."""
         a = self.arena
-        if self.native is not None:
-            self.native.decode(
-                self.p_buf, a.words, self.p_out_slots, a.num_outputs,
-                a.num_vectors, signed, self.p_decode_scratch, self.p_values,
+        if self._lib is not None:
+            self._lib.cgp_decode(
+                self.p_buf, a.words, self.p_b_out_slots, a.num_outputs,
+                a.num_vectors, int(signed), self.p_decode_scratch,
+                self.p_values,
             )
             return a.values
-        return kernels.decode_values(a, a.num_outputs, signed)
+        return kernels.decode_values(a, a.num_outputs, signed, 0)
 
     def team(self) -> int:
         """The OpenMP team a brood dispatches to in this process.
@@ -288,17 +283,18 @@ class _Runtime:
         return 1
 
     # ------------------------------------------------------------------
-    # Batched evaluation over per-candidate program slabs.
+    # Evaluation over the per-candidate program slabs.
     def ensure_batch(self, n_cand: int) -> None:
         """Size the arena's program slabs and refresh cached addresses."""
         self.arena.ensure_batch(n_cand)
         self._refresh_batch()
 
     def _refresh_batch(self) -> None:
-        """Recapture the batch buffers' raw addresses after the arena
-        (re)allocated any of them."""
+        """Recapture the slab buffers' raw addresses, and the argument
+        tuples built from them, after the arena (re)allocated any of
+        them."""
         a = self.arena
-        if self.native is None or self._batch_epoch_seen == a.batch_epoch:
+        if self._lib is None or self._batch_epoch_seen == a.batch_epoch:
             return
         self.p_b_ops = a.batch_ops.ctypes.data
         self.p_b_src_a = a.batch_src_a.ctypes.data
@@ -307,16 +303,12 @@ class _Runtime:
         self.p_b_out_slots = a.batch_out_slots.ctypes.data
         self.p_b_n_ops = a.batch_n_ops.ctypes.data
         self.p_b_stats = a.batch_stats.ctypes.data
-        if a.lane_capacity:
-            self.p_lanes = a.batch_lanes.ctypes.data
-            self.p_b_scratch = a.batch_scratch.ctypes.data
-            self.p_b_err = a.batch_err.ctypes.data
         # Fully precomposed cgp_compile argument tails, one per slab
-        # lane: compile_into_lane then costs one ctypes call with no
+        # row: compile_into_lane then costs one ctypes call with no
         # per-candidate pointer arithmetic or attribute traffic.
         p = self.params
         prog_b = p.num_nodes * 4                 # int32 row bytes
-        out_b = a.batch_out_slots.shape[1] * 4
+        out_stride = a.batch_out_slots.shape[1]
         self._lane_compile_args = [
             (
                 p.num_nodes, p.num_inputs, p.num_outputs,
@@ -325,61 +317,75 @@ class _Runtime:
                 self.p_b_src_a + k * prog_b,
                 self.p_b_src_b + k * prog_b,
                 self.p_b_dst + k * prog_b,
-                self.p_b_out_slots + k * out_b,
+                self.p_b_out_slots + k * out_stride * 4,
                 self.p_needed, self.p_scratch_i32,
             )
             for k in range(a.batch_capacity)
         ]
-        # Per-lane slab pointers for the chunked (cache-blocked)
-        # serial dispatch of execute_lane().
-        self._lane_eval_args = [
+        # cgp_eval_batch's arguments, split around the one (do_sign) the
+        # caller supplies, so each dispatch is a single raw ctypes call.
+        # Slab row k's program from that row on: n_ops, the four program
+        # rows and their stride, the out-slots row, bus width, stride
+        # and vector count.
+        programs = [
             (
                 self.p_b_n_ops + k * 4,
                 self.p_b_ops + k * prog_b,
                 self.p_b_src_a + k * prog_b,
                 self.p_b_src_b + k * prog_b,
                 self.p_b_dst + k * prog_b,
-                self.p_b_out_slots + k * out_b,
+                a.num_nodes,
+                self.p_b_out_slots + k * out_stride * 4,
+                a.num_outputs, out_stride, a.num_vectors,
             )
             for k in range(a.batch_capacity)
         ]
-        # Fully precomposed cgp_eval_batch argument tuples for the
-        # stats-mode chunked dispatch, split around the one argument
-        # (do_sign) the caller supplies: execute_lane_stats then
-        # costs a single raw ctypes call.
-        self._lane_stats_args = [
-            (
-                (
-                    self.p_buf, self.p_serial_lane, a.num_inputs, 0,
-                    a.words, 1, n_ops_p, ops_p, sa_p, sb_p, dst_p,
-                    a.num_nodes, osl_p, a.num_outputs,
-                    a.batch_out_slots.shape[1], a.num_vectors,
-                ),
-                (
-                    self.p_decode_scratch, 0, self.p_exact32, self.p_exact,
-                    self.p_weight_row, self.weight_mask, self.p_err,
-                    a.num_vectors, self.p_b_stats, a.blocks, 1,
-                ),
-            )
-            for (n_ops_p, ops_p, sa_p, sb_p, dst_p, osl_p)
-            in self._lane_eval_args
+        # The serial schedule: one candidate, slab row k, in the arena's
+        # own lane (stride 0), decode scratch and distance row; its
+        # statistics land in batch_stats row 0.  The weight row, mask
+        # and block count matter only with a stats row.
+        self._lane_args = [
+            (self.p_buf, self.p_serial_lane, a.num_inputs, 0, a.words, 1)
+            + program
+            for program in programs
         ]
+        tail = (
+            self.p_decode_scratch, 0, self.p_exact32, self.p_exact,
+            self.p_weight_row, self.weight_mask, self.p_err, a.num_vectors,
+        )
+        self._lane_err_tail = tail + (0, a.blocks, 1)
+        self._lane_stats_tail = tail + (self.p_b_stats, a.blocks, 1)
+        if a.lane_capacity:
+            # The threaded schedule: the first n_lanes slab rows at
+            # once, each candidate in its private lane, transpose
+            # scratch, distance row and stats row.
+            self._batch_head = (
+                self.p_buf, a.batch_lanes.ctypes.data, a.num_inputs,
+                a.num_nodes, a.words,
+            )
+            self._batch_program = programs[0]
+            tail = (
+                a.batch_scratch.ctypes.data, a.batch_scratch.shape[1],
+                self.p_exact32, self.p_exact, self.p_weight_row,
+                self.weight_mask, a.batch_err.ctypes.data, a.num_vectors,
+            )
+            self._batch_err_tail = tail + (0, a.blocks)
+            self._batch_stats_tail = tail + (self.p_b_stats, a.blocks)
         self._batch_epoch_seen = a.batch_epoch
 
     def compile_into_lane(self, genes: np.ndarray, lane: int) -> int:
-        """Compile ``genes`` into batch slab row ``lane``; return n_ops."""
+        """Compile ``genes`` into slab row ``lane``; return n_ops."""
         genes = np.ascontiguousarray(genes, dtype=np.int64)
         a = self.arena
-        p = self.params
-        if self.native is not None:
+        if self._lib is not None:
             n = int(
-                self.native._lib.cgp_compile(
+                self._lib.cgp_compile(
                     genes.ctypes.data, *self._lane_compile_args[lane]
                 )
             )
         else:
             n = compile_genes_into(
-                genes, p, self.fn2op_list,
+                genes, self.params, self.fn2op_list,
                 a.batch_ops[lane], a.batch_src_a[lane],
                 a.batch_src_b[lane], a.batch_dst[lane],
                 a.batch_out_slots[lane], self.needed,
@@ -421,22 +427,14 @@ class _Runtime:
         reduce into ``arena.batch_stats[k]`` instead — five statistics
         per vector block — and the distance rows stay untouched.
         """
-        a = self.arena
-        a.ensure_lanes()
+        self.arena.ensure_lanes()
         self._refresh_batch()
-        self.native.eval_batch(
-            self.p_buf, self.p_lanes, a.num_inputs, a.num_nodes,
-            a.words, n_lanes, self.p_b_n_ops, self.p_b_ops,
-            self.p_b_src_a, self.p_b_src_b, self.p_b_dst,
-            a.num_nodes, self.p_b_out_slots, a.num_outputs,
-            a.batch_out_slots.shape[1], a.num_vectors, signed,
-            self.p_b_scratch, a.batch_scratch.shape[1],
-            self.p_exact32, self.p_exact, self.p_b_err, a.num_vectors,
-            nthreads,
-            stats=self.p_b_stats if stats else 0,
-            weight_row=self.p_weight_row,
-            weight_mask=self.weight_mask,
-            blocks=a.blocks,
+        if nthreads > 1 and n_lanes > 1:
+            _mark_omp_team_used()
+        tail = self._batch_stats_tail if stats else self._batch_err_tail
+        self._lib.cgp_eval_batch(
+            *self._batch_head, n_lanes, *self._batch_program, int(signed),
+            *tail, nthreads,
         )
 
     def execute_lane(self, lane: int, signed: bool) -> np.ndarray:
@@ -457,19 +455,13 @@ class _Runtime:
         the same integer kernels.
         """
         a = self.arena
-        if self.native is None:
+        if self._lib is None:
             kernels.run_program(a, int(a.batch_n_ops[lane]), lane)
             return kernels.decode_error_lane(
                 a, lane, a.num_outputs, signed, self.reference
             )
-        n_ops_p, ops_p, sa_p, sb_p, dst_p, osl_p = self._lane_eval_args[lane]
-        self.native.eval_batch(
-            self.p_buf, self.p_serial_lane, a.num_inputs, 0,
-            a.words, 1, n_ops_p, ops_p, sa_p, sb_p, dst_p,
-            a.num_nodes, osl_p, a.num_outputs,
-            a.batch_out_slots.shape[1], a.num_vectors, signed,
-            self.p_decode_scratch, 0, self.p_exact32, self.p_exact,
-            self.p_err, a.num_vectors, 1,
+        self._lib.cgp_eval_batch(
+            *self._lane_args[lane], int(signed), *self._lane_err_tail
         )
         return a.err
 
@@ -483,8 +475,9 @@ class _Runtime:
         is never written — the dominant share of a width-8 evaluation's
         memory traffic.
         """
-        head, tail = self._lane_stats_args[lane]
-        self.native._lib.cgp_eval_batch(*head, int(signed), *tail)
+        self._lib.cgp_eval_batch(
+            *self._lane_args[lane], int(signed), *self._lane_stats_tail
+        )
         return self.arena.batch_stats[0].tolist()
 
 
@@ -780,7 +773,7 @@ class _EngineEvalMixin:
         (:meth:`_Runtime.execute_lane_stats`); the rest read the
         materialized distance row (:meth:`_Runtime.execute_lane`).
         """
-        if rt.native is not None and self._reduce_kind is not None:
+        if rt._lib is not None and self._reduce_kind is not None:
             return self._finish_stats(
                 rt.execute_lane_stats(lane, self.signed),
                 rt.lane_area(lane, n_ops),

@@ -19,8 +19,6 @@ produce bit-identical results.  Speed comes from three things:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .arena import BufferArena
@@ -36,26 +34,21 @@ __all__ = [
 _POW2_8 = (np.uint16(1) << np.arange(8, dtype=np.uint16)).astype(np.uint16)
 
 
-def run_program(
-    arena: BufferArena, n_ops: int, lane: Optional[int] = None
-) -> None:
-    """Execute ``n_ops`` compiled operations over the arena rows.
+def run_program(arena: BufferArena, n_ops: int, lane: int) -> None:
+    """Execute the first ``n_ops`` operations of slab row ``lane``'s
+    program over the arena rows.
 
-    The program is the one compiled into the arena's own slabs, or into
-    batch slab row ``lane``; either way it runs in ``buf``, as every
-    candidate of a serial brood does in turn.  The compiler guarantees a
-    destination never aliases its operands, so the two-step in-place
-    kernels (NAND, ANDN, ...) are safe.
+    The program runs in ``buf``, as every candidate of a serial brood
+    does in turn.  The compiler guarantees a destination never aliases
+    its operands, so the two-step in-place kernels (NAND, ANDN, ...) are
+    safe.
     """
     rows = arena.rows
     kernels = NUMPY_KERNELS
-    if lane is None:
-        ops, src_a, src_b, dst = arena.ops, arena.src_a, arena.src_b, arena.dst
-    else:
-        ops, src_a, src_b, dst = (
-            arena.batch_ops[lane], arena.batch_src_a[lane],
-            arena.batch_src_b[lane], arena.batch_dst[lane],
-        )
+    ops, src_a, src_b, dst = (
+        arena.batch_ops[lane], arena.batch_src_a[lane],
+        arena.batch_src_b[lane], arena.batch_dst[lane],
+    )
     for op, a, b, d in zip(
         ops[:n_ops].tolist(), src_a[:n_ops].tolist(),
         src_b[:n_ops].tolist(), dst[:n_ops].tolist(),
@@ -96,25 +89,22 @@ def _decode_planes(
 
 
 def decode_values(
-    arena: BufferArena, n_bits: int, signed: bool,
-    lane: Optional[int] = None,
+    arena: BufferArena, n_bits: int, signed: bool, lane: int
 ) -> np.ndarray:
     """Decode the output planes into per-vector integers (arena.values).
 
-    The outputs are those of the program :func:`run_program` ran (the
-    arena's own, or slab row ``lane``'s).  Equivalent to per-plane
-    ``unpackbits`` + shift-accumulate but does a single stacked
-    bit-transpose over all planes.
+    The outputs are those of slab row ``lane``'s program, which
+    :func:`run_program` ran.  Equivalent to per-plane ``unpackbits`` +
+    shift-accumulate but does a single stacked bit-transpose over all
+    planes.
     """
     values = arena.values
     if n_bits == 0:
         values.fill(0)
         return values
-    out_slots = (
-        arena.out_slots if lane is None else arena.batch_out_slots[lane]
-    )
     planes = arena.planes[:n_bits]
-    np.take(arena.buf, out_slots[:n_bits], axis=0, out=planes)
+    out_slots = arena.batch_out_slots[lane, :n_bits]
+    np.take(arena.buf, out_slots, axis=0, out=planes)
     return _decode_planes(planes, arena.num_vectors, n_bits, signed, values)
 
 

@@ -3,9 +3,11 @@
 The exhaustive packed simulation is numpy-shaped but ufunc-call-bound: a
 width-8 multiplier phenotype is ~300 gates of 1024-word bitwise ops, so
 per-call dispatch overhead dominates the arithmetic.  This module embeds
-a ~150-line C implementation of the compile/execute/decode pipeline,
-builds it once with the system C compiler into a cached shared object,
-and drives it through ``ctypes`` over the same
+a C implementation of the compile/execute/decode pipeline, builds it
+once with the system C compiler into a cached shared object, and loads
+it through ``ctypes`` (:class:`NativeLib`: argument types and the OpenMP
+team size).  The evaluator's per-params runtime is the one caller of the
+C functions; it runs them over the same
 :class:`~repro.engine.arena.BufferArena` buffers the numpy backend uses.
 
 Everything stays optional: if no compiler is available (or compilation
@@ -31,8 +33,6 @@ import subprocess
 import tempfile
 import threading
 from typing import Optional
-
-import numpy as np
 
 __all__ = ["NativeLib", "native_lib", "native_available", "omp_threads"]
 
@@ -776,7 +776,14 @@ def _build_shared_object() -> Optional[str]:
 
 
 class NativeLib:
-    """ctypes facade over the compiled engine library."""
+    """The loaded engine library: its ctypes signatures and OpenMP team.
+
+    ``_lib`` is the ``ctypes.CDLL``.  Its one caller,
+    :class:`repro.engine.evaluator._Runtime`, calls the ``cgp_*``
+    functions on it directly, with buffer addresses it computes once and
+    argument tuples it builds ahead of time, so an evaluation costs one
+    ctypes call and no per-call pointer conversion.
+    """
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -806,148 +813,16 @@ class NativeLib:
         lib.cgp_omp_max_threads.argtypes = []
         lib.cgp_init()
         self._lib = lib
+        self._omp_compiled = bool(lib.cgp_omp_compiled())
         #: The OpenMP team size (``omp_get_max_threads``, which the
         #: standard ``OMP_NUM_THREADS`` caps); 1 without OpenMP.
         self._omp_default = (
-            int(lib.cgp_omp_max_threads())
-            if lib.cgp_omp_compiled()
-            else 1
-        )
-
-    @staticmethod
-    def _ptr(arr) -> int:
-        # Accepts a precomputed raw address (int) so hot callers can
-        # amortize the ~µs-scale ``ndarray.ctypes`` accessor per call.
-        return arr if type(arr) is int else arr.ctypes.data
-
-    def compile(
-        self,
-        genes: np.ndarray,
-        num_nodes: int,
-        num_inputs: int,
-        num_outputs: int,
-        fn2op: np.ndarray,
-        op_arity: np.ndarray,
-        ops: np.ndarray,
-        src_a: np.ndarray,
-        src_b: np.ndarray,
-        dst: np.ndarray,
-        out_slots: np.ndarray,
-        needed: np.ndarray,
-        scratch_i32: np.ndarray,
-    ) -> int:
-        return int(
-            self._lib.cgp_compile(
-                self._ptr(genes), num_nodes, num_inputs, num_outputs,
-                self._ptr(fn2op), self._ptr(op_arity), self._ptr(ops),
-                self._ptr(src_a), self._ptr(src_b), self._ptr(dst),
-                self._ptr(out_slots), self._ptr(needed),
-                self._ptr(scratch_i32),
-            )
-        )
-
-    def kernel(
-        self,
-        buf: np.ndarray,
-        num_inputs: int,
-        words: int,
-        n_ops: int,
-        ops: np.ndarray,
-        src_a: np.ndarray,
-        src_b: np.ndarray,
-        dst: np.ndarray,
-    ) -> None:
-        self._lib.cgp_kernel(
-            self._ptr(buf), num_inputs, words, n_ops,
-            self._ptr(ops), self._ptr(src_a), self._ptr(src_b),
-            self._ptr(dst),
-        )
-
-    def decode(
-        self,
-        buf: np.ndarray,
-        words: int,
-        out_slots: np.ndarray,
-        n_bits: int,
-        num_vectors: int,
-        signed: bool,
-        scratch: np.ndarray,
-        values: np.ndarray,
-    ) -> None:
-        self._lib.cgp_decode(
-            self._ptr(buf), words, self._ptr(out_slots), n_bits,
-            num_vectors, int(signed), self._ptr(scratch), self._ptr(values),
-        )
-
-    def eval_batch(
-        self,
-        inputs,
-        lanes,
-        num_inputs: int,
-        lane_stride_rows: int,
-        words: int,
-        n_cand: int,
-        n_ops_arr,
-        ops,
-        src_a,
-        src_b,
-        dst,
-        prog_stride: int,
-        out_slots,
-        n_bits: int,
-        out_stride: int,
-        num_vectors: int,
-        signed: bool,
-        scratch,
-        scratch_stride: int,
-        exact32,
-        exact,
-        err,
-        err_stride: int,
-        nthreads: int,
-        stats=0,
-        weight_row=0,
-        weight_mask: int = 0,
-        blocks: int = 1,
-    ) -> None:
-        """Evaluate ``n_cand`` compiled programs in one native call.
-
-        Array arguments may be ndarrays or precomputed raw addresses;
-        strides are in elements.  ``nthreads`` > 1 splits the candidates
-        across an OpenMP team of that size; 1 runs the serial loop.
-        ``lane_stride_rows`` (and ``scratch_stride``) may be 0 only on
-        the serial path, where all candidates soundly reuse one lane.
-        ``err`` rows receive int64 distances against the int64
-        ``exact``; ``exact32`` (the reference as int32, or 0) selects the
-        narrow AVX2 decode loop for buses of at most 16 bits — pass it
-        only when the reference leaves int32 headroom for the
-        subtraction.  A non-zero ``stats`` points at an ``(n_cand, 5)``
-        int64 buffer receiving each candidate's ``(Σ|d|, #{d != 0},
-        max|d|, Σ W·|d|, Σ W·[d != 0])`` with ``W[v] =
-        weight_row[v & weight_mask]`` (``weight_mask`` 0: uniform
-        weights ``weight_row[0]``); the err rows then stay untouched.
-        With ``blocks`` > 1 the vectors split into that many consecutive
-        equal blocks (a sampled objective's replicate streams) and each
-        candidate's stats row holds one such five-integer group per
-        block.
-        """
-        if nthreads > 1 and n_cand > 1:
-            _mark_omp_team_used()
-        self._lib.cgp_eval_batch(
-            self._ptr(inputs), self._ptr(lanes), num_inputs,
-            lane_stride_rows,
-            words, n_cand, self._ptr(n_ops_arr), self._ptr(ops),
-            self._ptr(src_a), self._ptr(src_b), self._ptr(dst),
-            prog_stride, self._ptr(out_slots), n_bits, out_stride,
-            num_vectors, int(signed), self._ptr(scratch), scratch_stride,
-            self._ptr(exact32), self._ptr(exact), self._ptr(weight_row),
-            weight_mask, self._ptr(err), err_stride, self._ptr(stats),
-            blocks, nthreads,
+            int(lib.cgp_omp_max_threads()) if self._omp_compiled else 1
         )
 
     def omp_compiled(self) -> bool:
         """Whether the loaded .so was built with ``-fopenmp``."""
-        return bool(self._lib.cgp_omp_compiled())
+        return self._omp_compiled
 
 
 _lock = threading.Lock()

@@ -224,7 +224,9 @@ def characterize_record(
     ``error`` is the search objective's own reduction
     (:meth:`~repro.core.objective.CircuitObjective.error_from_distances`)
     over the same integer distances, so it equals the evolution's final
-    ``best_eval.error`` exactly, engine or no engine.  ``wmed``,
+    ``best_eval.error`` exactly, engine or no engine; ``area`` is the
+    search's own float sum (:func:`~repro.tech.area.circuit_area`), so it
+    equals ``best_eval.area`` the same way.  ``wmed``,
     ``error_rate``, ``bias`` and the power model's switching activity
     are exact integer sums over the objective's quantized weights, and
     ``mred`` a fixed-order float sum: no stored figure depends on the
@@ -384,11 +386,12 @@ def build_library(
                 generations=spec.generations,
                 evaluations=point.evolution.evaluations,
             )
-            search_error = point.evolution.best_eval.error
-            if record.error != search_error:
+            search = point.evolution.best_eval
+            if (record.error, record.area) != (search.error, search.area):
                 raise RuntimeError(
                     f"characterization diverged from the search objective "
-                    f"({record.error!r} != {search_error!r}) for "
+                    f"(error {record.error!r} vs {search.error!r}, area "
+                    f"{record.area!r} vs {search.area!r}) for "
                     f"{component}/{metric}/w{width}@{level}"
                 )
             status = store.add(record)

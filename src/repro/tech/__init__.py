@@ -1,6 +1,6 @@
 """Technology-level cost models: area, power, timing, PDP."""
 
-from .area import area_of_counts, circuit_area
+from .area import circuit_area
 from .library import NANGATE45, Cell, TechLibrary, default_library
 from .power import PowerReport, circuit_power, signal_probabilities
 from .timing import (
@@ -12,7 +12,6 @@ from .timing import (
 )
 
 __all__ = [
-    "area_of_counts",
     "circuit_area",
     "NANGATE45",
     "Cell",

@@ -9,29 +9,33 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from ..circuits.netlist import Netlist
 from .library import TechLibrary, default_library
 
-__all__ = ["circuit_area", "area_of_counts"]
-
-
-def area_of_counts(counts, library: Optional[TechLibrary] = None) -> float:
-    """Area in um^2 of a ``{cell name: count}`` histogram."""
-    lib = library or default_library()
-    return float(sum(lib.cell(fn).area * n for fn, n in counts.items()))
+__all__ = ["circuit_area"]
 
 
 def circuit_area(
-    netlist: Netlist,
-    library: Optional[TechLibrary] = None,
-    active_only: bool = True,
+    netlist: Netlist, library: Optional[TechLibrary] = None
 ) -> float:
-    """Total cell area of a netlist in um^2.
+    """Total cell area of a netlist's output cone in um^2.
+
+    Inactive CGP nodes do not exist in the synthesized circuit, so only
+    gates in the output cone count.  Their areas are one float64 numpy
+    sum in netlist order: the sum the search takes over a chromosome's
+    active nodes (:meth:`~repro.core.objective.CircuitObjective.area`
+    and the engine's per-opcode areas), so a design's characterized
+    area equals its search area bit for bit.
 
     Args:
         netlist: Circuit to measure.
         library: Technology library (defaults to the 45 nm-class one).
-        active_only: Count only gates in the output cone — inactive CGP
-            nodes do not exist in the synthesized circuit.
     """
-    return area_of_counts(netlist.cell_counts(active_only=active_only), library)
+    lib = library or default_library()
+    areas = [
+        lib.cell(netlist.gates[k].fn).area
+        for k in netlist.active_gate_indices()
+    ]
+    return float(np.array(areas, dtype=np.float64).sum())

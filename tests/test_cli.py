@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main, parse_distribution
+from repro.core.serialization import chromosome_from_string
+from repro.library import characterize_record
 
 
 def _chromosome_text(path):
@@ -224,6 +226,31 @@ def test_cli_characterize_reads_the_recorded_objective(tmp_path, capsys):
     # Flags that agree with the record (in any spelling) are accepted.
     assert main(["characterize", str(out), "--unsigned", "--dist", "D2"]) == 0
     assert "WMED=0.4832%" in capsys.readouterr().out
+
+
+def test_cli_characterize_prints_the_library_record(tmp_path, capsys):
+    """Regression: characterize computed its own power under uniform
+    switching activity (0.1369 mW where the store row of a width-6 D2
+    design holds 0.0980 mW) and its own WMED from re-quantized float
+    weights.  It now prints the library's record of the design."""
+    out = tmp_path / "m4.chr"
+    assert main(
+        ["evolve", "--width", "4", "--unsigned", "--dist", "d2",
+         "--wmed-percent", "2", "--generations", "300", "--seed", "3",
+         "--output", str(out)]
+    ) == 0
+    capsys.readouterr()
+    assert main(["characterize", str(out)]) == 0
+    printed = capsys.readouterr().out
+    row = characterize_record(
+        chromosome_from_string(_chromosome_text(out)), "multiplier", 4,
+        parse_distribution("d2", 4, False), "wmed",
+    )
+    assert f"power:  {row.power_uw / 1000:.4f} mW" in printed
+    assert f"pdp:    {row.pdp:.1f} fJ" in printed
+    assert f"area:   {row.area:.1f} um2" in printed
+    assert f"gates:  {row.gates}\n" in printed
+    assert f"WMED={100 * row.wmed:.4f}%" in printed
 
 
 @pytest.mark.parametrize("flags,named", [

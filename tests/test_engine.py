@@ -70,14 +70,15 @@ def run_compiled(net: Netlist) -> np.ndarray:
         stim,
         1 << net.num_inputs,
     )
+    arena.ensure_batch(1)
     n = cp.n_ops
-    arena.ops[:n] = cp.ops
-    arena.src_a[:n] = cp.src_a
-    arena.src_b[:n] = cp.src_b
-    arena.dst[:n] = cp.dst
-    arena.out_slots[:] = cp.out_slots
-    kernels.run_program(arena, n)
-    return kernels.decode_values(arena, net.num_outputs, signed=False).copy()
+    arena.batch_ops[0, :n] = cp.ops
+    arena.batch_src_a[0, :n] = cp.src_a
+    arena.batch_src_b[0, :n] = cp.src_b
+    arena.batch_dst[0, :n] = cp.dst
+    arena.batch_out_slots[0, : net.num_outputs] = cp.out_slots
+    kernels.run_program(arena, n, 0)
+    return kernels.decode_values(arena, net.num_outputs, False, 0).copy()
 
 
 # ----------------------------------------------------------------------

@@ -160,6 +160,47 @@ def test_empty_and_singleton_batches():
     assert obj.evaluate_batch([ch], 0.01) == [obj.evaluate(ch, 0.01)]
 
 
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("width,sampled", [(6, False), (8, False), (16, True)])
+def test_interleaved_calls_share_slab_rows_bit_identically(
+    width, sampled, path, monkeypatch
+):
+    # A brood compiles into slab rows 0..n-1, and a lone evaluate(),
+    # error() or truth_table() recompiles row 0: interleaved on one
+    # evaluator, no call may read another's program or buffers.
+    backend = _use_path(path, monkeypatch)
+    dist = distribution_from_spec("d2", width, False)
+    if sampled:
+        interpreted = sampled_component_objective(
+            "multiplier", width, dist, SampleSpec(512, 4, seed=5)
+        )
+        engine = CompiledSampledObjective(interpreted, backend=backend)
+    else:
+        interpreted = component_objective("multiplier", width, dist)
+        engine = CompiledObjective(interpreted, backend=backend)
+    rng = np.random.default_rng(width)
+    parent = _seed_chromosome("multiplier", width, extra=4)
+    for step in range(3):
+        brood = [mutate(parent, 5, rng)[0] for _ in range(4)]
+        lone = brood[step]
+        assert np.array_equal(
+            engine.truth_table(lone), interpreted.truth_table(lone)
+        )
+        assert engine.evaluate_batch(brood, 0.005) == [
+            interpreted.evaluate(c, 0.005) for c in brood
+        ]
+        assert np.array_equal(
+            engine.truth_table(lone), interpreted.truth_table(lone)
+        )
+        assert engine.evaluate(brood[-1], 0.005) == interpreted.evaluate(
+            brood[-1], 0.005
+        )
+        assert engine.error(lone) == interpreted.error(lone)
+        parent = lone
+    assert engine.stats()["omp"]["schedule"] == _schedule_of(path)
+    assert engine.stats()["fallback"] == []
+
+
 # ----------------------------------------------------------------------
 # A brood candidate costs one compile and one native call
 # ----------------------------------------------------------------------

@@ -647,26 +647,3 @@ def test_characterize_design_rejects_width_mismatch():
     with pytest.raises(ValueError, match="width"):
         characterize_design(net, 4, [uniform(4)], component="adder",
                             activity_dist=uniform(2))
-
-
-# ----------------------------------------------------------------------
-# Portable popcount path (REPRO_POPCOUNT)
-# ----------------------------------------------------------------------
-def test_portable_popcount_bit_identical(rng, monkeypatch):
-    from repro.circuits import simulator
-
-    words = rng.integers(0, 1 << 63, size=64, dtype=np.uint64)
-    for nv in (1, 63, 64, 1000, 64 * 64):
-        fast = simulator.popcount(words, nv)
-        monkeypatch.setattr(simulator, "_HAS_BITWISE_COUNT", False)
-        assert simulator.popcount(words, nv) == fast
-        monkeypatch.undo()
-
-
-def test_popcount_env_override(monkeypatch):
-    from repro.circuits import simulator
-
-    monkeypatch.setenv("REPRO_POPCOUNT", "portable")
-    assert simulator._use_bitwise_count() is False
-    monkeypatch.delenv("REPRO_POPCOUNT")
-    assert simulator._use_bitwise_count() == hasattr(np, "bitwise_count")

@@ -11,7 +11,6 @@ from repro.circuits.simulator import (
     output_values,
     pack_bits,
     pack_input_vectors,
-    popcount,
     simulate,
     simulate_reference,
     simulate_signals,
@@ -40,12 +39,6 @@ def test_pack_unpack_roundtrip(bits):
 def test_pack_bits_little_endian_order():
     packed = pack_bits(np.array([1, 0, 0, 0, 0, 0, 0, 0, 1]))
     assert int(packed[0]) == 0b1_0000_0001
-
-
-def test_popcount():
-    bits = np.zeros(130, dtype=np.uint8)
-    bits[[0, 64, 129]] = 1
-    assert popcount(pack_bits(bits), 130) == 3
 
 
 def test_exhaustive_inputs_patterns():

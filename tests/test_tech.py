@@ -10,7 +10,11 @@ from repro.circuits.generators import (
     build_baugh_wooley_multiplier,
     build_ripple_carry_adder,
 )
-from repro.errors import uniform, vector_weights
+from repro.analysis.sweep import make_objective
+from repro.core.mutation import mutate
+from repro.core.seeding import netlist_to_chromosome
+from repro.engine import native_available
+from repro.errors import paper_d2, uniform, vector_weights
 from repro.tech import (
     NANGATE45,
     characterize,
@@ -48,10 +52,11 @@ def test_xor_costs_more_than_nand():
 def test_area_counts_active_only():
     net = Netlist(num_inputs=2)
     live = net.add_gate("AND", 0, 1)
-    net.add_gate("XOR", 0, 1)  # dead
+    dead = net.add_gate("XOR", 0, 1)
     net.set_outputs([live])
     assert circuit_area(net) == pytest.approx(NANGATE45.cell("AND").area)
-    assert circuit_area(net, active_only=False) == pytest.approx(
+    net.set_outputs([live, dead])
+    assert circuit_area(net) == pytest.approx(
         NANGATE45.cell("AND").area + NANGATE45.cell("XOR").area
     )
 
@@ -164,3 +169,25 @@ def test_exact_8bit_multiplier_in_plausible_range(bw8):
     assert 0.1 < s.power.total / 1000.0 < 1.0  # mW
     assert 200 < s.area < 800  # um^2
     assert 500 < s.delay < 3000  # ps
+
+
+@pytest.mark.parametrize("engine", ["off", "numpy", "native"])
+def test_circuit_area_is_the_search_area(engine):
+    """Regression: the stored area summed ``count x cell area`` per gate
+    function, which differed from the search's area in its last bits
+    (292.334 against 292.33400000000006 on a width-8 D2 run).  It is now
+    the search's own sum, bit for bit, on every evaluation path."""
+    if engine == "native" and not native_available():
+        pytest.skip("native backend unavailable")
+    objective = make_objective(6, paper_d2(6), engine=engine)
+    rng = np.random.default_rng(12)
+    chromosome = netlist_to_chromosome(
+        build_array_multiplier(6)
+    )
+    areas = []
+    for _ in range(40):
+        chromosome, _ = mutate(chromosome, 5, rng)
+        result = objective.evaluate(chromosome, float("inf"))
+        areas.append(result.area)
+        assert circuit_area(chromosome.to_netlist()) == result.area
+    assert len(set(areas)) > 10  # the mutants really differ
